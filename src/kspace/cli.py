@@ -188,7 +188,7 @@ def cmd_lint(args) -> int:
     inst = resolve_instance(args.instance)
     tree = _explore(args, inst)
     violations = []
-    for state in sorted({n.state for n in tree.nodes}, key=sorted):
+    for state in sorted(tree.states, key=sorted):
         try:
             realize(inst.realizer, inst.valuation, state, mode="strict")
         except ContractViolation as exc:
@@ -235,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
         common(p)
         p.add_argument("--max-depth", type=int, default=10_000)
         p.add_argument("--max-nodes", type=int, default=1_000_000)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--no-check-lemmas", dest="check_lemmas",
                        action="store_false", default=True)
         p.set_defaults(func=func)

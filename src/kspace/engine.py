@@ -1,11 +1,12 @@
 """Single reduction steps, deterministic strategies and the exhaustive
-reduction-tree explorer.
+reduction-graph explorer.
 
 A step picks a nonempty homogeneous set ``s`` of proposals at one level
 ``n``, keeps everything in the state at levels <= n, adds ``s``, and
-erases every atom above n.  The explorer unfolds every such step from a
-root state into a tree, optionally checking a suite of per-edge
-invariants on the fly.
+erases every atom above n.  The explorer walks every state reachable
+from a root once, checking the per-state and per-edge invariants once
+per distinct state and edge, and derives the figures of the reduction
+tree (one node per path) from path counts instead of building it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -66,7 +66,8 @@ class FuelExhausted(KspaceError):
 
 
 class BudgetExceeded(KspaceError):
-    """Base for explorer budget errors; carries the offending branch prefix."""
+    """Base for explorer budget errors; carries a shortest root path to the
+    offending state and the partial graph."""
 
     def __init__(self, message: str, branch: list[State],
                  partial: Optional["ReductionTree"] = None):
@@ -92,44 +93,32 @@ class ReductionStep:
 
 
 @dataclass
-class TreeNode:
-    state: State
-    depth: int
-    parent: Optional[int]  # index into ReductionTree.nodes
-    duplicate: bool
-
-
-@dataclass
 class ReductionTree:
+    """The reduction graph reachable from `root`, with the figures of the
+    tree that unfolds it into one node per path.
+
+    `states` and `edges` list each distinct state and step once, in
+    discovery order.  `node_count`, `edge_count` and `edges_checked` count
+    paths: tree nodes, tree edges and edges checked as if on every path.
+    """
+
     root: State
-    nodes: list[TreeNode] = field(default_factory=list)
+    states: list[State] = field(default_factory=list)
     edges: list[ReductionStep] = field(default_factory=list)
     normal_forms: set[State] = field(default_factory=set)
+    node_count: int = 1
     max_depth: int = 0
     complete: bool = True
     edges_checked: int = 0
     check_failures: list[tuple[ReductionStep, str]] = field(default_factory=list)
 
     @property
-    def node_count(self) -> int:
-        return len(self.nodes)
-
-    @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return self.node_count - 1
 
     @property
     def distinct_state_count(self) -> int:
-        return len({n.state for n in self.nodes})
-
-    def branch_to(self, index: int) -> list[State]:
-        """Root-to-node list of states for the node at `index`."""
-        rev = []
-        cur: Optional[int] = index
-        while cur is not None:
-            rev.append(self.nodes[cur].state)
-            cur = self.nodes[cur].parent
-        return rev[::-1]
+        return len(self.states)
 
 
 def candidates_from_proposals(universe: AtomUniverse, members: State,
@@ -320,25 +309,31 @@ def check_node(members: State, r: Realizer, v: Valuation) -> list[str]:
 
 def explore_tree(root: State, r: Realizer, v: Valuation,
                  fuel_depth: int = 10_000, max_nodes: int = 1_000_000,
-                 check_lemmas: bool = True, parallel: bool = False,
+                 check_lemmas: bool = True,
                  candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> ReductionTree:
-    """Exhaustively unfold every reduction step from `root`.
+    """Exhaustively explore every reduction step from `root`.
 
-    Repeated states become distinct tree nodes (flagged duplicate);
-    `distinct_state_count` reports the deduplicated figure.  Raises
-    DepthExceeded / NodeBudgetExceeded with the offending branch prefix
-    when a budget is hit.
+    The walk is breadth-first over distinct states, one depth at a time,
+    carrying the number of root paths that reach each state at that
+    depth.  Each state is expanded once; with `check_lemmas`, `check_node`
+    runs once per distinct state and `check_edge` once per distinct edge,
+    and each failure is reported once.  The step relation is acyclic
+    (a step keeps the levels below n and strictly grows level n), so the
+    walk ends.
+
+    Raises DepthExceeded when a reducible state sits at depth
+    `fuel_depth`, and NodeBudgetExceeded when the tree through the next
+    depth would have more than `max_nodes` nodes.  Both carry a shortest
+    root path to the offending state and the partial graph.
     """
     universe = r.universe
-    tree = ReductionTree(root=root)
-    tree.nodes.append(TreeNode(root, 0, None, duplicate=False))
-    seen = {root}
-    # memoized per-state expansion keeps duplicate nodes cheap
-    expansions: dict[State, list[ReductionStep]] = {}
+    tree = ReductionTree(root=root, states=[root])
+    parent: dict[State, Optional[State]] = {root: None}
+    successors: dict[State, list[ReductionStep]] = {}
 
     def expand(members: State) -> list[ReductionStep]:
         try:
-            return expansions[members]
+            return successors[members]
         except KeyError:
             pass
         if check_lemmas:
@@ -347,53 +342,60 @@ def explore_tree(root: State, r: Realizer, v: Valuation,
                     (ReductionStep(members, frozenset(), members, 0), name))
         edges = []
         for chosen in enumerate_candidates(members, r, v, cap=candidate_cap):
-            edges.append(ReductionStep(
+            edge = ReductionStep(
                 members, chosen, apply_step(universe, members, chosen),
-                homogeneous_level(chosen, universe)))
-        expansions[members] = edges
+                homogeneous_level(chosen, universe))
+            if check_lemmas:
+                for name in check_edge(v, edge):
+                    tree.check_failures.append((edge, name))
+            edges.append(edge)
+        successors[members] = edges
+        tree.edges.extend(edges)
         return edges
 
-    frontier = [0]
-    depth = 0
-    while frontier:
-        states = [tree.nodes[i].state for i in frontier]
-        if parallel:
-            with ThreadPoolExecutor() as pool:
-                results = list(pool.map(expand, states))
-        else:
-            results = [expand(s) for s in states]
-        next_frontier: list[int] = []
-        for node_index, out_edges in zip(frontier, results):
-            node = tree.nodes[node_index]
-            if not out_edges:
-                tree.normal_forms.add(node.state)
-                continue
-            if node.depth >= fuel_depth:
+    def branch(state: Optional[State]) -> list[State]:
+        rev = []
+        while state is not None:
+            rev.append(state)
+            state = parent[state]
+        return rev[::-1]
+
+    # state -> number of root paths reaching it at the current depth
+    frontier: dict[State, int] = {root: 1}
+    while True:
+        reducible = []
+        for state in frontier:
+            if expand(state):
+                reducible.append(state)
+            else:
+                tree.normal_forms.add(state)
+        if not reducible:
+            return tree
+        if tree.max_depth >= fuel_depth:
+            tree.complete = False
+            raise DepthExceeded(
+                f"branch still reducible at depth {fuel_depth}",
+                branch(reducible[0]), tree)
+        nodes = tree.node_count
+        next_frontier: dict[State, int] = {}
+        for state in reducible:
+            paths = frontier[state]
+            nodes += paths * len(successors[state])
+            if nodes > max_nodes:
                 tree.complete = False
-                raise DepthExceeded(
-                    f"branch still reducible at depth {fuel_depth}",
-                    tree.branch_to(node_index), tree)
-            for edge in out_edges:
-                if len(tree.nodes) >= max_nodes:
-                    tree.complete = False
-                    raise NodeBudgetExceeded(
-                        f"more than {max_nodes} tree nodes",
-                        tree.branch_to(node_index), tree)
-                tree.edges.append(edge)
-                if check_lemmas:
-                    tree.edges_checked += 1
-                    for name in check_edge(v, edge):
-                        tree.check_failures.append((edge, name))
-                child = TreeNode(edge.target, node.depth + 1, node_index,
-                                 duplicate=edge.target in seen)
-                seen.add(edge.target)
-                tree.nodes.append(child)
-                next_frontier.append(len(tree.nodes) - 1)
-        if next_frontier:
-            depth += 1
-            tree.max_depth = depth
+                raise NodeBudgetExceeded(
+                    f"more than {max_nodes} tree nodes", branch(state), tree)
+            for edge in successors[state]:
+                child = edge.target
+                next_frontier[child] = next_frontier.get(child, 0) + paths
+                if child not in parent:
+                    parent[child] = state
+                    tree.states.append(child)
+        if check_lemmas:
+            tree.edges_checked += nodes - tree.node_count
+        tree.node_count = nodes
+        tree.max_depth += 1
         frontier = next_frontier
-    return tree
 
 
 def longest_chain(tree: ReductionTree) -> int:

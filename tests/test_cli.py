@@ -86,6 +86,13 @@ class TestExplore:
         code, _, err = invoke(capsys, "explore", "t3", "--max-depth", "2")
         assert code == 4
 
+    def test_seed_is_not_an_option(self, capsys):
+        # only `run` has a seeded strategy
+        for command in ("explore", "lint"):
+            with pytest.raises(SystemExit) as err:
+                main([command, "t3", "--seed", "1"])
+            assert err.value.code == 2
+
 
 class TestLint:
     def test_t3_clean(self, capsys):

@@ -24,9 +24,11 @@ from kspace.engine import (
     step,
     trace_to_jsonl,
 )
+from kspace.instances import gen_cascade, load_instance
 from kspace.oracle import Realizer, Valuation
 
 from conftest import fs
+from reference_explorer import explore_tree_by_paths
 
 T3_NORMAL_FORM = fs("a0", "b1'", "c2")
 
@@ -168,13 +170,15 @@ class TestExploreTree:
         with pytest.raises(NodeBudgetExceeded):
             explore_tree(fs(), t3.realizer, t3.valuation, max_nodes=3)
 
-    def test_parallel_matches_sequential(self, t3):
-        seq = explore_tree(fs(), t3.realizer, t3.valuation, parallel=False)
-        par = explore_tree(fs(), t3.realizer, t3.valuation, parallel=True)
-        assert (seq.node_count, seq.edge_count, seq.max_depth,
-                seq.distinct_state_count, seq.normal_forms) == \
-               (par.node_count, par.edge_count, par.max_depth,
-                par.distinct_state_count, par.normal_forms)
+    def test_cascade_8_3_with_lemmas(self):
+        # 655,360 root paths over 34 states: checked per distinct edge
+        inst = load_instance(gen_cascade(8, 3, 0))
+        tree = explore_tree(fs(), inst.realizer, inst.valuation)
+        assert tree.node_count == 655_360
+        assert tree.edges_checked == tree.edge_count == 655_359
+        assert tree.distinct_state_count == 34
+        assert len(tree.normal_forms) == 1
+        assert tree.check_failures == []
 
     def test_run_traces_are_tree_paths(self, t3):
         tree = explore_tree(fs(), t3.realizer, t3.valuation)
@@ -208,6 +212,29 @@ class TestEdgeChecks:
         tree = explore_tree(fs(), t3.realizer, t3.valuation, check_lemmas=False)
         for edge in tree.edges:
             assert check_edge(t3.valuation, edge) == []
+
+    def test_failure_reported_once_per_distinct_edge(self):
+        # x's valuation reads past its level mask, so adding the level-1
+        # atom z flips x: the one edge {x, y} -> {x, y, z} breaks soundness
+        # preservation and truth stability, and three root paths reach it
+        universe = AtomUniverse([Atom("x", "qx", 0), Atom("y", "qy", 0),
+                                 Atom("z", "qz", 1)])
+
+        def propose(view):
+            if view.present("x") and view.present("y"):
+                return {"z"}
+            return {"x", "y"}
+
+        forged = Valuation(
+            universe, lambda atom, view: atom.id != "x" or "z" not in view._members)
+        r = Realizer(universe, propose)
+        tree = explore_tree(fs(), r, forged)
+        edge = next(e for e in tree.edges if e.chosen == fs("z"))
+        assert tree.check_failures == [(edge, "soundness-preserved"),
+                                       (edge, "truth-stability[x]")]
+        assert tree.node_count == 9 and tree.edges_checked == 8
+        by_paths = explore_tree_by_paths(fs(), r, forged)
+        assert by_paths.check_failures == tree.check_failures * 3
 
     def test_forged_self_step_fails(self, t3):
         from kspace.engine import ReductionStep

@@ -1,0 +1,79 @@
+"""The state-graph explorer against the path-by-path reference explorer:
+identical statistics, normal forms and budget errors."""
+
+import pytest
+
+from kspace.engine import BudgetExceeded, explore_tree
+from kspace.instances import builtin_t3, gen_cascade, gen_random, load_instance
+
+from conftest import fs
+from reference_explorer import explore_tree_by_paths
+from test_acceptance import _fuzz_params
+
+
+def _stats(tree):
+    return (tree.node_count, tree.edge_count, tree.max_depth,
+            tree.distinct_state_count, tree.normal_forms, tree.edges_checked,
+            tree.complete)
+
+
+def _assert_same_graph(graph, paths):
+    assert _stats(graph) == _stats(paths)
+    assert graph.states == list(dict.fromkeys(n.state for n in paths.nodes))
+    assert graph.edges == list(dict.fromkeys(paths.edges))
+    assert len(set(graph.check_failures)) == len(graph.check_failures)
+    assert set(graph.check_failures) == set(paths.check_failures)
+
+
+def _explore_both(inst, **budget):
+    outcomes = []
+    for explore in (explore_tree, explore_tree_by_paths):
+        try:
+            outcomes.append(explore(fs(), inst.realizer, inst.valuation, **budget))
+        except BudgetExceeded as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+CASES = [("t3", builtin_t3(), {})]
+CASES += [(f"cascade:{k},{w},{s}", gen_cascade(k, w, s), {})
+          for k in range(1, 5) for w in (1, 2) for s in range(3)]
+CASES += [(f"fuzz:{seed}", gen_random(*_fuzz_params(seed), seed),
+           {"fuel_depth": 10 * (_fuzz_params(seed)[0] + 1), "max_nodes": 300_000})
+          for seed in range(200)]
+
+
+@pytest.mark.parametrize("doc,budget", [(doc, budget) for _, doc, budget in CASES],
+                         ids=[name for name, _, _ in CASES])
+def test_matches_reference(doc, budget):
+    graph, paths = _explore_both(load_instance(doc), **budget)
+    assert not isinstance(paths, BudgetExceeded)
+    _assert_same_graph(graph, paths)
+
+
+@pytest.mark.parametrize("doc", [builtin_t3(), gen_cascade(3, 2, 0)],
+                         ids=["t3", "cascade:3,2,0"])
+def test_budget_sweep_matches_reference(doc):
+    inst = load_instance(doc)
+    full = explore_tree(fs(), inst.realizer, inst.valuation)
+    budgets = [{"max_nodes": n}
+               for n in (1, full.node_count - 1, full.node_count)]
+    budgets += [{"fuel_depth": d}
+                for d in (0, full.max_depth - 1, full.max_depth)]
+    for budget in budgets:
+        graph, paths = _explore_both(inst, **budget)
+        raised = [type(x) if isinstance(x, BudgetExceeded) else None
+                  for x in (graph, paths)]
+        assert raised[0] == raised[1], budget
+        if raised[1] is None:
+            _assert_same_graph(graph, paths)
+            continue
+        # a shortest root path along explored edges; a depth error names
+        # the same state as the reference
+        assert not graph.partial.complete
+        assert graph.branch[0] == fs()
+        assert len(graph.branch) <= len(paths.branch)
+        steps = {(e.source, e.target) for e in graph.partial.edges}
+        assert all(pair in steps for pair in zip(graph.branch, graph.branch[1:]))
+        if budget.get("fuel_depth") is not None:
+            assert graph.branch[-1] == paths.branch[-1]

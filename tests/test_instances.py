@@ -93,15 +93,15 @@ class TestT3Dynamics:
     def test_every_visited_state_is_sound(self):
         inst = load_instance(builtin_t3())
         tree = explore_tree(fs(), inst.realizer, inst.valuation)
-        for node in tree.nodes:
-            assert is_sound(inst.valuation, node.state)
+        for state in tree.states:
+            assert is_sound(inst.valuation, state)
 
     def test_level_mask_holds_everywhere(self):
         inst = load_instance(builtin_t3())
         tree = explore_tree(fs(), inst.realizer, inst.valuation)
-        for node in tree.nodes:
+        for state in tree.states:
             for atom in inst.universe.atoms():
-                assert check_level_mask(inst.valuation, atom.id, node.state)
+                assert check_level_mask(inst.valuation, atom.id, state)
 
 
 class TestArgmin:
@@ -181,8 +181,8 @@ class TestGenRandom:
             inst = load_instance(gen_random(10, 3, 10, seed))
             tree = explore_tree(fs(), inst.realizer, inst.valuation,
                                 check_lemmas=False)
-            for node in tree.nodes:
-                realize(inst.realizer, inst.valuation, node.state, mode="strict")
+            for state in tree.states:
+                realize(inst.realizer, inst.valuation, state, mode="strict")
 
     def test_parameter_caps(self):
         from kspace.instances import InstanceError

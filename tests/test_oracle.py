@@ -99,9 +99,9 @@ class TestLevelMask:
     def test_holds_on_all_t3_atoms_and_reachable_states(self, t3):
         from kspace.engine import explore_tree
         tree = explore_tree(fs(), t3.realizer, t3.valuation, check_lemmas=False)
-        for node in tree.nodes:
+        for state in tree.states:
             for atom in t3.universe.atoms():
-                assert check_level_mask(t3.valuation, atom.id, node.state)
+                assert check_level_mask(t3.valuation, atom.id, state)
 
 
 class TestStateView:
