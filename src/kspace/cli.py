@@ -1,7 +1,10 @@
 """Command-line front-end: validate, run, explore and lint instances.
 
-Exit codes: 0 success, 2 validation error, 3 I/O error, 4 budget
-exhausted, 5 invariant or contract check failure.
+Exit codes: 0 success; 2 validation error (any other `KspaceError`); 3 I/O
+error (`OSError`); 4 budget exhausted (`run` fuel, `explore`/`lint` depth
+or node budget, candidate cap, proposal cap); 5 invariant or contract check
+failure.  `EXIT_CODES` maps each failure to its code; `main` is the only
+place that applies it.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from typing import Optional
 from . import engine
 from .core import KspaceError
 from .instances import (
-    ARGMIN_MAX_POINTS,
     InstanceDoc,
     InstanceError,
     LoadedInstance,
@@ -24,7 +26,7 @@ from .instances import (
     gen_random,
     load_instance,
 )
-from .oracle import ContractViolation, is_sound, realize
+from .oracle import ContractViolation, ProposalCapExceeded, is_sound, realize
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -32,56 +34,42 @@ EXIT_IO = 3
 EXIT_BUDGET = 4
 EXIT_CHECK = 5
 
-
-class _CliFailure(Exception):
-    def __init__(self, code: int, message: str):
-        self.code = code
-        self.message = message
-        super().__init__(message)
+# exception class -> exit code, most specific first; the first match wins
+EXIT_CODES = (
+    (engine.BudgetExceeded, EXIT_BUDGET),
+    (engine.CandidateExplosion, EXIT_BUDGET),
+    (ProposalCapExceeded, EXIT_BUDGET),
+    (OSError, EXIT_IO),
+    (KspaceError, EXIT_VALIDATION),
+)
 
 
 def _parse_ints(text: str, what: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part != ""]
     except ValueError:
-        raise _CliFailure(EXIT_VALIDATION, f"bad {what} spec: {text!r}") from None
+        raise InstanceError(f"bad {what} spec: {text!r}") from None
 
 
 def resolve_instance(spec: str) -> LoadedInstance:
     """Builtin name (t3, argmin:<f>, cascade:<K>,<width>,<seed>,
     random:<n_atoms>,<max_level>,<n_rules>,<seed>) or a JSON file path."""
-    try:
-        if spec == "t3":
-            return load_instance(builtin_t3())
-        if spec.startswith("argmin:"):
-            points = _parse_ints(spec[len("argmin:"):], "argmin")
-            if not points or len(points) > ARGMIN_MAX_POINTS:
-                raise _CliFailure(EXIT_VALIDATION,
-                                  f"argmin needs 1..{ARGMIN_MAX_POINTS} values")
-            return builtin_argmin(points)
-        if spec.startswith("cascade:"):
-            params = _parse_ints(spec[len("cascade:"):], "cascade")
-            if len(params) != 3:
-                raise _CliFailure(EXIT_VALIDATION,
-                                  "cascade takes <depth>,<width>,<seed>")
-            return load_instance(gen_cascade(*params))
-        if spec.startswith("random:"):
-            params = _parse_ints(spec[len("random:"):], "random")
-            if len(params) != 4:
-                raise _CliFailure(EXIT_VALIDATION,
-                                  "random takes <n_atoms>,<max_level>,<n_rules>,<seed>")
-            return load_instance(gen_random(*params))
-    except InstanceError as exc:
-        raise _CliFailure(EXIT_VALIDATION, str(exc)) from None
-    try:
-        with open(spec, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise _CliFailure(EXIT_IO, f"cannot read {spec!r}: {exc}") from None
-    try:
-        return load_instance(InstanceDoc.from_json(text))
-    except InstanceError as exc:
-        raise _CliFailure(EXIT_VALIDATION, str(exc)) from None
+    if spec == "t3":
+        return load_instance(builtin_t3())
+    if spec.startswith("argmin:"):
+        return builtin_argmin(_parse_ints(spec[len("argmin:"):], "argmin"))
+    if spec.startswith("cascade:"):
+        params = _parse_ints(spec[len("cascade:"):], "cascade")
+        if len(params) != 3:
+            raise InstanceError("cascade takes <depth>,<width>,<seed>")
+        return load_instance(gen_cascade(*params))
+    if spec.startswith("random:"):
+        params = _parse_ints(spec[len("random:"):], "random")
+        if len(params) != 4:
+            raise InstanceError("random takes <n_atoms>,<max_level>,<n_rules>,<seed>")
+        return load_instance(gen_random(*params))
+    with open(spec, encoding="utf-8") as handle:
+        return load_instance(InstanceDoc.from_json(handle.read()))
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -90,11 +78,8 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
     else:
         out = "\n".join(text_lines) + "\n"
     if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(out)
-        except OSError as exc:
-            raise _CliFailure(EXIT_IO, f"cannot write {args.output!r}: {exc}") from None
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(out)
     else:
         sys.stdout.write(out)
 
@@ -143,21 +128,17 @@ def cmd_run(args) -> int:
     return EXIT_BUDGET if exhausted else EXIT_OK
 
 
-def _explore(args, inst: LoadedInstance) -> engine.ReductionTree:
-    try:
-        return engine.explore_tree(
-            inst.initial, inst.realizer, inst.valuation,
-            fuel_depth=args.max_depth, max_nodes=args.max_nodes,
-            check_lemmas=args.check_lemmas)
-    except engine.BudgetExceeded as exc:
-        raise _CliFailure(
-            EXIT_BUDGET,
-            f"{exc} (branch prefix: {[sorted(s) for s in exc.branch]})") from None
+def _explore(args, inst: LoadedInstance,
+             check_lemmas: bool) -> engine.ReductionTree:
+    return engine.explore_tree(
+        inst.initial, inst.realizer, inst.valuation,
+        fuel_depth=args.max_depth, max_nodes=args.max_nodes,
+        check_lemmas=check_lemmas)
 
 
 def cmd_explore(args) -> int:
     inst = resolve_instance(args.instance)
-    tree = _explore(args, inst)
+    tree = _explore(args, inst, args.check_lemmas)
     stats = {
         "node_count": tree.node_count,
         "edge_count": tree.edge_count,
@@ -186,7 +167,8 @@ def cmd_explore(args) -> int:
 
 def cmd_lint(args) -> int:
     inst = resolve_instance(args.instance)
-    tree = _explore(args, inst)
+    # lint reads only the reachable states, never the lemma verdicts
+    tree = _explore(args, inst, check_lemmas=False)
     violations = []
     for state in sorted(tree.states, key=sorted):
         try:
@@ -202,6 +184,13 @@ def cmd_lint(args) -> int:
     _emit(args, {"states_checked": tree.distinct_state_count,
                  "violations": violations}, lines)
     return EXIT_CHECK if violations else EXIT_OK
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -226,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--strategy", choices=engine.STRATEGY_NAMES,
                    default="lowest-level-first")
-    p.add_argument("--fuel", type=int, default=1000)
+    p.add_argument("--fuel", type=positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_run)
 
@@ -235,23 +224,28 @@ def build_parser() -> argparse.ArgumentParser:
         common(p)
         p.add_argument("--max-depth", type=int, default=10_000)
         p.add_argument("--max-nodes", type=int, default=1_000_000)
-        p.add_argument("--no-check-lemmas", dest="check_lemmas",
-                       action="store_false", default=True)
         p.set_defaults(func=func)
+        if name == "explore":
+            p.add_argument("--no-check-lemmas", dest="check_lemmas",
+                           action="store_false", default=True)
 
     return parser
 
 
+# built once: building it costs about as much as a small explore call
+PARSER = build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except _CliFailure as exc:
-        print(f"error: {exc.message}", file=sys.stderr)
-        return exc.code
-    except KspaceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    except (KspaceError, OSError) as exc:
+        message = str(exc)
+        if isinstance(exc, engine.BudgetExceeded):
+            message += f" (branch prefix: {[sorted(s) for s in exc.branch]})"
+        print(f"error: {message}", file=sys.stderr)
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -20,7 +20,6 @@ from .core import (
     KspaceError,
     State,
     is_state,
-    require_state,
 )
 from .oracle import Realizer, StateView, Valuation, is_sound
 
@@ -257,7 +256,7 @@ def load_instance(doc: InstanceDoc) -> LoadedInstance:
             raise UnknownReference(f"initial state names unknown atom {atom_id!r}")
     if not is_state(doc.initial, universe):
         raise SchemaError("initial members answer some question twice")
-    initial = require_state(doc.initial, universe)
+    initial = frozenset(doc.initial)
 
     valuation = _rule_valuation(universe, truth_rules)
     realizer = _rule_realizer(universe, doc.realizer_rules)

@@ -2,14 +2,47 @@ import json
 
 import pytest
 
+from kspace import engine
 from kspace.cli import main
-from kspace.instances import builtin_t3
+from kspace.instances import InstanceDoc, builtin_t3
 
 
 def invoke(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _breach_doc():
+    doc = builtin_t3()
+    # unconditionally proposing c2 breaks the truth clause at {}
+    doc.realizer_rules.append({"condition": {"const": True}, "propose": ["c2"]})
+    return doc
+
+
+def _unknown_key_doc():
+    doc = builtin_t3()
+    doc.truth_rules[0]["condition"] = {"maybe": True}
+    return doc
+
+
+def _independent_questions(n):
+    """n true level-0 atoms on n questions, all proposed at every state."""
+    ids = [f"a{i}" for i in range(n)]
+    return InstanceDoc(
+        atoms=[{"id": a, "question": f"q_{a}", "level": 0} for a in ids],
+        truth_rules=[{"atom": a, "condition": {"const": True}} for a in ids],
+        realizer_rules=[{"condition": {"const": True}, "propose": ids}],
+        initial=[])
+
+
+def _on_file(command, make_doc):
+    """argv builder: `command` on make_doc() written to a file."""
+    def build(tmp_path):
+        path = tmp_path / "instance.json"
+        path.write_text(make_doc().to_json())
+        return [command, str(path)]
+    return build
 
 
 class TestValidate:
@@ -27,10 +60,6 @@ class TestValidate:
         code, _, err = invoke(capsys, "validate", str(path))
         assert code == 2
         assert "c2" in err
-
-    def test_missing_file(self, capsys):
-        code, _, _ = invoke(capsys, "validate", "/no/such/file.json")
-        assert code == 3
 
     def test_file_instance_roundtrip(self, capsys, tmp_path):
         path = tmp_path / "t3.json"
@@ -82,10 +111,6 @@ class TestExplore:
         assert code == 0
         assert "check_failures: 0" in out
 
-    def test_depth_budget_exit_code(self, capsys):
-        code, _, err = invoke(capsys, "explore", "t3", "--max-depth", "2")
-        assert code == 4
-
     def test_seed_is_not_an_option(self, capsys):
         # only `run` has a seeded strategy
         for command in ("explore", "lint"):
@@ -104,15 +129,23 @@ class TestLint:
         assert code == 0
 
     def test_contract_breach_reported(self, capsys, tmp_path):
-        doc = builtin_t3()
-        # unconditionally proposing c2 breaks the truth clause at {}
-        doc.realizer_rules.append(
-            {"condition": {"const": True}, "propose": ["c2"]})
         path = tmp_path / "breach.json"
-        path.write_text(doc.to_json())
+        path.write_text(_breach_doc().to_json())
         code, out, _ = invoke(capsys, "lint", str(path))
         assert code == 5
         assert "truth-false" in out
+
+    def test_lemma_checks_are_off(self, capsys, monkeypatch):
+        # lint reads only the reachable states, so it never runs a lemma
+        def fail(*args, **kwargs):
+            raise AssertionError("lint ran a lemma check")
+        monkeypatch.setattr(engine, "check_edge", fail)
+        monkeypatch.setattr(engine, "check_node", fail)
+        code, _, _ = invoke(capsys, "lint", "cascade:3,2,0")
+        assert code == 0
+        with pytest.raises(SystemExit) as err:
+            main(["lint", "t3", "--no-check-lemmas"])
+        assert err.value.code == 2
 
 
 class TestDeterminism:
@@ -132,10 +165,6 @@ class TestDeterminism:
 
 
 class TestBadSpecs:
-    def test_bad_builtin_grammar(self, capsys):
-        code, _, err = invoke(capsys, "validate", "cascade:1,2")
-        assert code == 2
-
     def test_output_file(self, capsys, tmp_path):
         out_path = tmp_path / "stats.json"
         code, out, _ = invoke(capsys, "explore", "t3", "--format", "json",
@@ -144,3 +173,44 @@ class TestBadSpecs:
         assert out == ""
         data = json.loads(out_path.read_text())
         assert data["node_count"] == 8
+
+
+# (argv, or a builder taking tmp_path; expected exit code; part of stderr)
+EXIT_CODE_CASES = [
+    pytest.param(["validate", "t3"], 0, "", id="ok"),
+    pytest.param(["validate", "cascade:1,2"], 2, "cascade takes",
+                 id="bad-builtin-spec"),
+    pytest.param(_on_file("validate", _unknown_key_doc), 2,
+                 "unknown condition key", id="unknown-condition-key"),
+    pytest.param(["run", "t3", "--fuel", "0"], 2, "--fuel", id="fuel-zero"),
+    pytest.param(["validate", "/no/such/file.json"], 3, "/no/such/file.json",
+                 id="missing-file"),
+    pytest.param(lambda tmp: ["explore", "t3", "--output",
+                              str(tmp / "missing" / "out.txt")],
+                 3, "out.txt", id="output-into-missing-dir"),
+    pytest.param(["run", "t3", "--fuel", "1"], 4, "", id="fuel"),
+    pytest.param(["explore", "t3", "--max-depth", "2"], 4, "branch prefix",
+                 id="depth-budget"),
+    pytest.param(["explore", "t3", "--max-nodes", "2"], 4, "branch prefix",
+                 id="node-budget"),
+    pytest.param(_on_file("run", lambda: _independent_questions(13)),
+                 4, "more than 4096 candidates", id="candidate-cap"),
+    pytest.param(_on_file("run", lambda: _independent_questions(65)),
+                 4, "65 proposals exceed cap 64", id="proposal-cap"),
+    pytest.param(_on_file("lint", _breach_doc), 5, "",
+                 id="lint-breach"),
+]
+
+
+@pytest.mark.parametrize("argv, expected, err_part", EXIT_CODE_CASES)
+def test_exit_code(capsys, tmp_path, argv, expected, err_part):
+    if callable(argv):
+        argv = argv(tmp_path)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == expected
+    assert err_part in err
+    assert "Traceback" not in err
