@@ -1,9 +1,9 @@
 """Command-line front-end: validate, run, explore and lint instances.
 
 Exit codes: 0 success; 2 validation error (any other `KspaceError`); 3 I/O
-error (`OSError`); 4 budget exhausted (`run` fuel, `explore`/`lint` depth
-or node budget, candidate cap, proposal cap); 5 invariant or contract check
-failure.  `EXIT_CODES` maps each failure to its code; `main` is the only
+error (`OSError`); 4 budget exhausted (`run` fuel; `explore`/`lint` depth
+budget, node budget or candidate cap; proposal cap); 5 invariant or contract
+check failure.  `EXIT_CODES` maps each failure to its code; `main` is the only
 place that applies it.
 """
 
@@ -69,7 +69,12 @@ def resolve_instance(spec: str) -> LoadedInstance:
             raise InstanceError("random takes <n_atoms>,<max_level>,<n_rules>,<seed>")
         return load_instance(gen_random(*params))
     with open(spec, encoding="utf-8") as handle:
-        return load_instance(InstanceDoc.from_json(handle.read()))
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise InstanceError(f"{spec} is not UTF-8: {exc.reason} at byte "
+                                f"{exc.start}") from None
+    return load_instance(InstanceDoc.from_json(text))
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -193,6 +198,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kspace",
@@ -222,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func in (("explore", cmd_explore), ("lint", cmd_lint)):
         p = sub.add_parser(name, help=f"{name} the full reduction tree")
         common(p)
-        p.add_argument("--max-depth", type=int, default=10_000)
-        p.add_argument("--max-nodes", type=int, default=1_000_000)
+        p.add_argument("--max-depth", type=non_negative_int, default=10_000)
+        p.add_argument("--max-nodes", type=positive_int, default=1_000_000)
         p.set_defaults(func=func)
         if name == "explore":
             p.add_argument("--no-check-lemmas", dest="check_lemmas",

@@ -3,18 +3,24 @@ reduction-graph explorer.
 
 A step picks a nonempty homogeneous set ``s`` of proposals at one level
 ``n``, keeps everything in the state at levels <= n, adds ``s``, and
-erases every atom above n.  The explorer walks every state reachable
-from a root once, checking the per-state and per-edge invariants once
-per distinct state and edge, and derives the figures of the reduction
-tree (one node per path) from path counts instead of building it.
+erases every atom above n.  `Candidates` holds the sets a step may pick
+at a state without building them; `run` and its strategies pick one set
+from it, and only the explorer lists them all.  The explorer walks every
+state reachable from a root once, checking the per-state and per-edge
+invariants once per distinct state and edge, and derives the figures of
+the reduction tree (one node per path) from path counts instead of
+building it.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import operator
 import random
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from math import prod
 from typing import Callable, Optional
 
 from .core import (
@@ -121,42 +127,131 @@ class ReductionTree:
         return len(self.states)
 
 
-def candidates_from_proposals(universe: AtomUniverse, members: State,
-                              proposals: frozenset[str],
-                              cap: int = DEFAULT_CANDIDATE_CAP) -> list[State]:
-    """All nonempty homogeneous sub-states of a proposal set, in a fixed
-    order: level ascending, then lexicographic on sorted member ids."""
-    by_level: dict[int, dict[str, list[str]]] = {}
-    for atom_id in proposals:
-        atom = universe.atom(atom_id)
-        by_level.setdefault(atom.level, {}).setdefault(atom.question, []).append(atom_id)
+class Candidates(Sequence):
+    """The nonempty homogeneous sub-states of a proposal set, read-only and
+    lazy, in a fixed order: level ascending, then lexicographic on sorted
+    member ids.
 
-    total = 0
-    for groups in by_level.values():
-        count = 1
-        for ids in groups.values():
-            count *= len(ids) + 1
-        total += count - 1
-        if total > cap:
-            raise CandidateExplosion(f"more than {cap} candidates")
+    The proposals are held grouped by level and question.  `size`,
+    indexing (which unranks one set) and `in` never build the other
+    candidates; iteration does, and raises CandidateExplosion when there
+    are more than `cap` of them.  `size` is the number of candidates;
+    `len()` gives the same number but fails above `sys.maxsize`, which
+    64 proposals on 64 questions reach.
+    """
 
-    out: list[State] = []
-    for level in sorted(by_level):
-        groups = [sorted(ids) for ids in by_level[level].values()]
+    def __init__(self, universe: AtomUniverse, proposals: frozenset[str],
+                 cap: int = DEFAULT_CANDIDATE_CAP):
+        by_level: dict[int, dict[str, list[str]]] = {}
+        self._where: dict[str, tuple[int, str]] = {}
+        for atom_id in proposals:
+            atom = universe.atom(atom_id)
+            by_level.setdefault(atom.level, {}).setdefault(atom.question, []).append(atom_id)
+            self._where[atom_id] = (atom.level, atom.question)
+        self.levels = sorted(by_level)
+        # level -> the sorted ids of each of its questions
+        self._groups = {level: [sorted(ids) for ids in by_level[level].values()]
+                        for level in self.levels}
+        self._counts = [prod(len(ids) + 1 for ids in self._groups[level]) - 1
+                        for level in self.levels]
+        self.size = sum(self._counts)
+        self.cap = cap
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __bool__(self) -> bool:
+        return self.size > 0
+
+    def __contains__(self, s) -> bool:
+        if not isinstance(s, (set, frozenset)) or not s or not s <= self._where.keys():
+            return False
+        # one (level, question) pair per id: at most one id per question
+        places = {self._where[atom_id] for atom_id in s}
+        return len(places) == len(s) and len({level for level, _ in places}) == 1
+
+    def __getitem__(self, index: int) -> State:
+        i = operator.index(index)
+        if i < 0:
+            i += self.size
+        if not 0 <= i < self.size:
+            raise IndexError("candidate index out of range")
+        for level, count in zip(self.levels, self._counts):
+            if i < count:
+                return self._unrank(self._groups[level], i)
+            i -= count
+        raise AssertionError("unreachable")
+
+    @staticmethod
+    def _unrank(groups: list[list[str]], rank: int) -> State:
+        """The rank-th nonempty set, in lexicographic order, that takes at
+        most one id from each group."""
+        ids = sorted((atom_id, q) for q, group in enumerate(groups)
+                     for atom_id in group)
+        # left[q]: ids of a free question q at or after the scan position;
+        # free: sets (empty included) of ids at or after it on free questions
+        left = [len(group) for group in groups]
+        free = prod(n + 1 for n in left)
+        used: set[int] = set()
+        picked = []
+        for atom_id, q in ids:
+            if q in used:
+                continue
+            # sets that extend the picked prefix by atom_id first
+            without_q = free // (left[q] + 1)
+            left[q] -= 1
+            if rank < without_q:
+                picked.append(atom_id)
+                if rank == 0:
+                    return frozenset(picked)
+                rank -= 1
+                used.add(q)
+                free = without_q
+            else:
+                rank -= without_q
+                free = without_q * (left[q] + 1)
+        raise AssertionError("rank out of range")
+
+    def __iter__(self) -> Iterator[State]:
+        # checked on iter(), which list() calls before it asks len()
+        if self.size > self.cap:
+            raise CandidateExplosion(f"more than {self.cap} candidates")
+        return itertools.chain.from_iterable(
+            self._level_sets(self._groups[level]) for level in self.levels)
+
+    @staticmethod
+    def _level_sets(groups: list[list[str]]) -> list[State]:
         level_sets = []
         for choice in itertools.product(*[ids + [None] for ids in groups]):
             picked = frozenset(a for a in choice if a is not None)
             if picked:
                 level_sets.append(picked)
         level_sets.sort(key=lambda s: tuple(sorted(s)))
-        out.extend(level_sets)
-    return out
+        return level_sets
+
+    def smallest_per_question(self, level: int) -> State:
+        """The smallest proposed id of each question at `level`."""
+        return frozenset(ids[0] for ids in self._groups[level])
+
+
+def candidates_from_proposals(universe: AtomUniverse, members: State,
+                              proposals: frozenset[str],
+                              cap: int = DEFAULT_CANDIDATE_CAP) -> Candidates:
+    """The candidates of a proposal set, as a lazy `Candidates` sequence."""
+    return Candidates(universe, proposals, cap)
+
+
+def _candidates(members: State, r: Realizer, v: Valuation,
+                cap: int = DEFAULT_CANDIDATE_CAP) -> Candidates:
+    proposals = realize(r, v, members, mode="filter")
+    return candidates_from_proposals(r.universe, members, proposals, cap=cap)
 
 
 def enumerate_candidates(members: State, r: Realizer, v: Valuation,
                          cap: int = DEFAULT_CANDIDATE_CAP) -> list[State]:
-    proposals = realize(r, v, members, mode="filter")
-    return candidates_from_proposals(r.universe, members, proposals, cap=cap)
+    """Every candidate at a state, as a list; raises CandidateExplosion when
+    there are more than `cap`."""
+    return list(_candidates(members, r, v, cap))
 
 
 def apply_step(universe: AtomUniverse, members: State, chosen: State) -> State:
@@ -178,8 +273,8 @@ def apply_step(universe: AtomUniverse, members: State, chosen: State) -> State:
 
 def step(members: State, chosen: State, r: Realizer, v: Valuation) -> ReductionStep:
     universe = r.universe
-    if chosen not in enumerate_candidates(members, r, v):
-        raise InvalidCandidate(f"{sorted(chosen)} is not an enumerated candidate")
+    if chosen not in _candidates(members, r, v):
+        raise InvalidCandidate(f"{sorted(chosen)} is not a candidate")
     level = homogeneous_level(chosen, universe)
     assert level is not None
     return ReductionStep(
@@ -199,38 +294,42 @@ def is_prefixed(members: State, r: Realizer, v: Valuation) -> bool:
 # ---------------------------------------------------------------------------
 # strategies
 
-def _key(universe: AtomUniverse, s: State):
-    # documented tie-break: level ascending, cardinality descending, lex ids
-    return (homogeneous_level(s, universe), -len(s), tuple(sorted(s)))
-
-
-def make_strategy(name: str, seed: int = 0) -> Callable[[AtomUniverse, list[State]], State]:
-    """A choice procedure over the enumerated candidate list.
+def make_strategy(name: str, seed: int = 0) -> Callable[[AtomUniverse, Candidates], State]:
+    """A choice procedure over the candidates of a state.
 
     `lowest-level-first` takes the first candidate in enumeration order
-    (which may be non-maximal); the `maximal-set-per-lowest-level`
-    variant prefers the largest candidate at the lowest level.
+    (which may be non-maximal).  `maximal-set-per-lowest-level` and
+    `highest-level-first` take, at the lowest or the highest level, the
+    largest candidate, lexicographically first among those: the smallest
+    proposed id of each question.  `seeded-random` draws one candidate
+    uniformly with `random.Random(seed)`.  None of them builds the list
+    of candidates.
     """
+    # A largest candidate at a level takes one id from every question.  The
+    # sorted tuple of the per-question minima is pointwise <= that of any
+    # other such set (its j smallest ids answer j questions, so j minima lie
+    # at or below its j-th id), hence lexicographically first.
     if name == "lowest-level-first":
         return lambda universe, cands: cands[0]
     if name == "highest-level-first":
-        return lambda universe, cands: min(
-            cands,
-            key=lambda s: (-homogeneous_level(s, universe), -len(s),
-                           tuple(sorted(s))))
+        return lambda universe, cands: cands.smallest_per_question(cands.levels[-1])
     if name == "maximal-set-per-lowest-level":
-        return lambda universe, cands: min(cands, key=lambda s: _key(universe, s))
+        return lambda universe, cands: cands.smallest_per_question(cands.levels[0])
     if name == "seeded-random":
         rng = random.Random(seed)
-        return lambda universe, cands: rng.choice(cands)
+        # rng.choice(seq) is seq[rng._randbelow(len(seq))] and randrange(n)
+        # is rng._randbelow(n), so this draws what rng.choice(list(cands))
+        # draws, without the list and without len()'s sys.maxsize limit
+        return lambda universe, cands: cands[rng.randrange(cands.size)]
     raise ValueError(f"unknown strategy {name!r}")
 
 
 def run(members: State, r: Realizer, v: Valuation,
-        strategy: Callable[[AtomUniverse, list[State]], State],
+        strategy: Callable[[AtomUniverse, Candidates], State],
         fuel: int) -> tuple[list[ReductionStep], State]:
     """Apply the strategy's chosen candidate until none exists.
 
+    The candidates are never enumerated, so no candidate cap applies.
     Raises FuelExhausted (with the partial trace) if candidates remain
     after `fuel` steps.
     """
@@ -240,7 +339,7 @@ def run(members: State, r: Realizer, v: Valuation,
     trace: list[ReductionStep] = []
     current = members
     for _ in range(fuel):
-        candidates = enumerate_candidates(current, r, v)
+        candidates = _candidates(current, r, v)
         if not candidates:
             return trace, current
         chosen = strategy(universe, candidates)
@@ -251,7 +350,7 @@ def run(members: State, r: Realizer, v: Valuation,
                              homogeneous_level(chosen, universe))
         trace.append(edge)
         current = edge.target
-    if enumerate_candidates(current, r, v):
+    if _candidates(current, r, v):
         raise FuelExhausted(trace, current)
     return trace, current
 

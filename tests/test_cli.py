@@ -45,6 +45,12 @@ def _on_file(command, make_doc):
     return build
 
 
+def _non_utf8(tmp_path):
+    path = tmp_path / "instance.json"
+    path.write_bytes(b"\xff\xfe")
+    return ["validate", str(path)]
+
+
 class TestValidate:
     def test_t3_summary(self, capsys):
         code, out, _ = invoke(capsys, "validate", "t3")
@@ -94,6 +100,20 @@ class TestRun:
         code, out, _ = invoke(capsys, "run", "t3", "--fuel", "1")
         assert code == 4
         assert "steps: 1" in out
+
+    @pytest.mark.parametrize("strategy", engine.STRATEGY_NAMES)
+    @pytest.mark.parametrize("n", [13, 64])
+    def test_no_candidate_cap(self, capsys, tmp_path, strategy, n):
+        # 2**n - 1 candidates at the first state (2**64 - 1 is past
+        # sys.maxsize): `run` never lists them
+        path = tmp_path / "wide.json"
+        path.write_text(_independent_questions(n).to_json())
+        code, out, _ = invoke(capsys, "run", str(path), "--format", "json",
+                              "--strategy", strategy, "--seed", "3")
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["final_state"] == sorted(f"a{i}" for i in range(n))
+        assert result["is_prefixed"] is True and result["is_sound"] is True
 
 
 class TestExplore:
@@ -183,6 +203,14 @@ EXIT_CODE_CASES = [
     pytest.param(_on_file("validate", _unknown_key_doc), 2,
                  "unknown condition key", id="unknown-condition-key"),
     pytest.param(["run", "t3", "--fuel", "0"], 2, "--fuel", id="fuel-zero"),
+    pytest.param(_non_utf8, 2, "is not UTF-8",
+                 id="non-utf8-file"),
+    pytest.param(["explore", "t3", "--max-nodes", "-5"], 2, "--max-nodes",
+                 id="max-nodes-negative"),
+    pytest.param(["explore", "t3", "--max-depth", "-1"], 2, "--max-depth",
+                 id="max-depth-negative"),
+    pytest.param(["explore", "t3", "--max-depth", "0"], 4, "at depth 0",
+                 id="max-depth-zero"),
     pytest.param(["validate", "/no/such/file.json"], 3, "/no/such/file.json",
                  id="missing-file"),
     pytest.param(lambda tmp: ["explore", "t3", "--output",
@@ -193,8 +221,10 @@ EXIT_CODE_CASES = [
                  id="depth-budget"),
     pytest.param(["explore", "t3", "--max-nodes", "2"], 4, "branch prefix",
                  id="node-budget"),
-    pytest.param(_on_file("run", lambda: _independent_questions(13)),
+    pytest.param(_on_file("explore", lambda: _independent_questions(13)),
                  4, "more than 4096 candidates", id="candidate-cap"),
+    pytest.param(_on_file("explore", lambda: _independent_questions(64)),
+                 4, "more than 4096 candidates", id="candidate-cap-past-maxsize"),
     pytest.param(_on_file("run", lambda: _independent_questions(65)),
                  4, "65 proposals exceed cap 64", id="proposal-cap"),
     pytest.param(_on_file("lint", _breach_doc), 5, "",

@@ -1,10 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kspace.core import Atom, AtomUniverse
 from kspace.engine import (
     CandidateExplosion,
+    Candidates,
     DepthExceeded,
     FuelExhausted,
     IncompleteTree,
@@ -60,6 +62,67 @@ class TestEnumerateCandidates:
         v = Valuation(universe, lambda atom, view: True)
         with pytest.raises(CandidateExplosion):
             enumerate_candidates(fs(), r, v, cap=100)
+
+
+@st.composite
+def grouped_proposals(draw):
+    """A universe of up to 6 questions over 3 levels, with ids whose
+    lexicographic order interleaves the questions, and a proposal subset."""
+    sizes = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(1, 3)),
+                          max_size=6))
+    ids = draw(st.lists(st.text("abcd", min_size=1, max_size=3),
+                        min_size=sum(n for _, n in sizes),
+                        max_size=sum(n for _, n in sizes), unique=True))
+    it = iter(ids)
+    atoms = [Atom(next(it), f"q{q}", level)
+             for q, (level, n) in enumerate(sizes) for _ in range(n)]
+    proposals = draw(st.sets(st.sampled_from(ids))) if ids else set()
+    return AtomUniverse(atoms), frozenset(proposals)
+
+
+class TestCandidates:
+    @settings(max_examples=200, deadline=None)
+    @given(grouped_proposals())
+    def test_indexing_matches_iteration(self, pair):
+        universe, proposals = pair
+        cands = Candidates(universe, proposals)
+        listed = list(cands)
+        assert [cands[i] for i in range(len(cands))] == listed
+        assert len(set(listed)) == len(listed)
+        if listed:
+            assert cands[-1] == listed[-1]
+            assert cands[-len(cands)] == listed[0]
+        for bad in (len(cands), -len(cands) - 1):
+            with pytest.raises(IndexError):
+                cands[bad]
+
+    @settings(max_examples=200, deadline=None)
+    @given(grouped_proposals(), st.data())
+    def test_membership_matches_list(self, pair, data):
+        universe, proposals = pair
+        cands = Candidates(universe, proposals)
+        listed = list(cands)
+        ids = [a.id for a in universe.atoms()]
+        probes = [frozenset(), set(listed[0]) if listed else set(), "a", None,
+                  sorted(listed[-1]) if listed else []]
+        if ids:
+            probes += data.draw(st.lists(st.frozensets(st.sampled_from(ids)),
+                                         max_size=20))
+        for s in listed + probes:
+            assert (s in cands) == (s in listed), s
+
+    def test_size_past_cap_without_listing(self):
+        n = 80
+        universe = AtomUniverse([Atom(f"a{i:02d}", f"q{i}", 0) for i in range(n)])
+        cands = Candidates(universe, frozenset(a.id for a in universe.atoms()))
+        assert cands.size == 2 ** n - 1 and cands
+        assert cands[0] == fs("a00")
+        assert cands[-1] == fs(f"a{n - 1}")
+        assert frozenset(f"a{i:02d}" for i in range(n)) in cands
+        assert cands.smallest_per_question(0) == frozenset(
+            f"a{i:02d}" for i in range(n))
+        with pytest.raises(CandidateExplosion):
+            list(cands)
 
 
 class TestApplyStep:
