@@ -69,10 +69,12 @@ class AtomUniverse:
             q: frozenset(ids) for q, ids in index.items()
         }
         # all atoms of a question must share one level
+        self._question_levels: dict[str, int] = {}
         for q, ids in self.question_index.items():
             levels = {self._atoms[i].level for i in ids}
             if len(levels) > 1:
                 raise InvalidState(f"question {q!r} mixes levels {sorted(levels)}")
+            (self._question_levels[q],) = levels
 
     def __len__(self) -> int:
         return len(self._atoms)
@@ -96,8 +98,10 @@ class AtomUniverse:
             raise UnknownQuestion(f"unknown question id {question!r}") from None
 
     def question_level(self, question: str) -> int:
-        ids = self.question_atoms(question)
-        return self._atoms[next(iter(ids))].level
+        try:
+            return self._question_levels[question]
+        except KeyError:
+            raise UnknownQuestion(f"unknown question id {question!r}") from None
 
     def level(self, atom_id: str) -> int:
         return self.atom(atom_id).level

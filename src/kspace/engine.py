@@ -392,9 +392,15 @@ def check_edge(v: Valuation, edge: ReductionStep) -> list[str]:
     return fails
 
 
-def check_node(members: State, r: Realizer, v: Valuation) -> list[str]:
-    """Pre-fixed-point triple agreement at a single state."""
-    proposals = realize(r, v, members, mode="filter")
+def check_node(members: State, r: Realizer, v: Valuation, *,
+               proposals: Optional[frozenset[str]] = None) -> list[str]:
+    """Pre-fixed-point triple agreement at a single state.
+
+    `proposals` is the state's filtered proposal set when the caller has
+    already realized it; otherwise it is realized here.
+    """
+    if proposals is None:
+        proposals = realize(r, v, members, mode="filter")
     no_candidates = not candidates_from_proposals(r.universe, members, proposals)
     contained = proposals <= members
     empty = not proposals
@@ -435,12 +441,14 @@ def explore_tree(root: State, r: Realizer, v: Valuation,
             return successors[members]
         except KeyError:
             pass
+        proposals = realize(r, v, members, mode="filter")
         if check_lemmas:
-            for name in check_node(members, r, v):
+            for name in check_node(members, r, v, proposals=proposals):
                 tree.check_failures.append(
                     (ReductionStep(members, frozenset(), members, 0), name))
         edges = []
-        for chosen in enumerate_candidates(members, r, v, cap=candidate_cap):
+        for chosen in candidates_from_proposals(universe, members, proposals,
+                                                cap=candidate_cap):
             edge = ReductionStep(
                 members, chosen, apply_step(universe, members, chosen),
                 homogeneous_level(chosen, universe))

@@ -56,15 +56,24 @@ class UnsoundInitial(InstanceError):
 # ---------------------------------------------------------------------------
 # boolean conditions
 
-_EXPR_KEYS = {"const", "present", "answered", "not", "and", "or"}
+#: Deepest condition accepted, counting one level per nested object.  The
+#: generators write at most a handful; the bound keeps validating,
+#: compiling and evaluating a condition far from the interpreter's
+#: recursion limit.
+MAX_CONDITION_DEPTH = 100
+
+#: A compiled condition: a function of a (masked) state view.
+Condition = Callable[[StateView], bool]
 
 
-def validate_expr(expr) -> None:
+def validate_expr(expr, depth: int = 1) -> None:
+    """Raise SchemaError unless `expr` is a well-formed condition."""
+    if depth > MAX_CONDITION_DEPTH:
+        raise SchemaError(
+            f"condition nested more than {MAX_CONDITION_DEPTH} levels deep")
     if not isinstance(expr, dict) or len(expr) != 1:
         raise SchemaError(f"condition must be a single-key object, got {expr!r}")
-    key, value = next(iter(expr.items()))
-    if key not in _EXPR_KEYS:
-        raise SchemaError(f"unknown condition key {key!r}")
+    ((key, value),) = expr.items()
     if key == "const":
         if not isinstance(value, bool):
             raise SchemaError("const takes a boolean")
@@ -72,49 +81,64 @@ def validate_expr(expr) -> None:
         if not isinstance(value, str):
             raise SchemaError(f"{key} takes an id string")
     elif key == "not":
-        validate_expr(value)
-    else:  # and / or
+        validate_expr(value, depth + 1)
+    elif key in ("and", "or"):
         if not isinstance(value, list):
             raise SchemaError(f"{key} takes a list of conditions")
         for sub in value:
-            validate_expr(sub)
+            validate_expr(sub, depth + 1)
+    else:
+        raise SchemaError(f"unknown condition key {key!r}")
 
 
-def expr_refs(expr) -> tuple[set[str], set[str]]:
-    """(atom ids, question ids) referenced anywhere in the condition."""
-    key, value = next(iter(expr.items()))
-    if key == "present":
-        return {value}, set()
-    if key == "answered":
-        return set(), {value}
-    if key == "not":
-        return expr_refs(value)
-    if key in ("and", "or"):
-        atoms: set[str] = set()
-        questions: set[str] = set()
-        for sub in value:
-            a, q = expr_refs(sub)
-            atoms |= a
-            questions |= q
-        return atoms, questions
-    return set(), set()
+def compile_expr(expr, atoms: set[str], questions: set[str],
+                 depth: int = 1) -> Condition:
+    """Compile a condition that `validate_expr` accepts into a function of
+    a state view, adding the atom and question ids it references to
+    `atoms` and `questions`.
 
-
-def eval_expr(expr, view: StateView) -> bool:
-    key, value = next(iter(expr.items()))
+    The compiled function evaluates sub-conditions in document order and
+    stops at the first that decides an "and" or "or".
+    """
+    if depth > MAX_CONDITION_DEPTH:
+        raise SchemaError(
+            f"condition nested more than {MAX_CONDITION_DEPTH} levels deep")
+    ((key, value),) = expr.items()
     if key == "const":
-        return value
+        return lambda view: value
     if key == "present":
-        return view.present(value)
+        atoms.add(value)
+        return lambda view: view.present(value)
     if key == "answered":
-        return view.answered(value)
+        questions.add(value)
+        return lambda view: view.answered(value)
     if key == "not":
-        return not eval_expr(value, view)
+        inner = compile_expr(value, atoms, questions, depth + 1)
+        return lambda view: not inner(view)
+    if key not in ("and", "or"):
+        raise SchemaError(f"unknown condition key {key!r}")
+    subs = []
+    for sub in value:
+        subs.append(compile_expr(sub, atoms, questions, depth + 1))
     if key == "and":
-        return all(eval_expr(sub, view) for sub in value)
-    if key == "or":
-        return any(eval_expr(sub, view) for sub in value)
-    raise SchemaError(f"unknown condition key {key!r}")
+        def conjunction(view: StateView) -> bool:
+            for sub in subs:
+                if not sub(view):
+                    return False
+            return True
+        return conjunction
+
+    def disjunction(view: StateView) -> bool:
+        for sub in subs:
+            if sub(view):
+                return True
+        return False
+    return disjunction
+
+
+def eval_expr(cond: Condition, view: StateView) -> bool:
+    """One evaluation of a compiled condition on a state view."""
+    return cond(view)
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +167,8 @@ class InstanceDoc:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"not valid JSON: {exc}") from None
+        except RecursionError:
+            raise SchemaError("JSON nested too deeply") from None
         return cls.from_dict(data)
 
     @classmethod
@@ -153,25 +179,40 @@ class InstanceDoc:
             raise SchemaError(
                 f"top-level keys must be exactly {sorted(_DOC_KEYS)}, "
                 f"got {sorted(data)}")
+        for key in ("atoms", "truth_rules", "realizer_rules"):
+            if not isinstance(data[key], list):
+                raise SchemaError(f"{key} must be a list, got {data[key]!r}")
         for atom in data["atoms"]:
             if not isinstance(atom, dict) or not set(atom) <= _ATOM_KEYS:
                 raise SchemaError(f"bad atom entry {atom!r}")
             if not {"id", "question", "level"} <= set(atom):
                 raise SchemaError(f"atom entry missing fields: {atom!r}")
+            if not (isinstance(atom["id"], str) and isinstance(atom["question"], str)):
+                raise SchemaError(f"atom id and question must be strings: {atom!r}")
+            # bool is a subclass of int, but true is not a level
+            if not isinstance(atom["level"], int) or isinstance(atom["level"], bool):
+                raise SchemaError(f"atom level must be an integer: {atom!r}")
+            if not isinstance(atom.get("label", ""), str):
+                raise SchemaError(f"atom label must be a string: {atom!r}")
         for rule in data["truth_rules"]:
             if not isinstance(rule, dict) or set(rule) != {"atom", "condition"}:
                 raise SchemaError(f"bad truth rule {rule!r}")
+            if not isinstance(rule["atom"], str):
+                raise SchemaError(f"truth rule atom must be an id string: {rule!r}")
             validate_expr(rule["condition"])
         for rule in data["realizer_rules"]:
             if not isinstance(rule, dict) or set(rule) != {"condition", "propose"}:
                 raise SchemaError(f"bad realizer rule {rule!r}")
             validate_expr(rule["condition"])
-            if not isinstance(rule["propose"], list):
-                raise SchemaError("propose must be a list of atom ids")
-        if not isinstance(data["initial"], list):
-            raise SchemaError("initial must be a list of atom ids")
+            _require_ids(rule["propose"], "propose")
+        _require_ids(data["initial"], "initial")
         return cls(atoms=data["atoms"], truth_rules=data["truth_rules"],
                    realizer_rules=data["realizer_rules"], initial=data["initial"])
+
+
+def _require_ids(value, what: str) -> None:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise SchemaError(f"{what} must be a list of atom id strings, got {value!r}")
 
 
 @dataclass
@@ -186,26 +227,28 @@ class LoadedInstance:
     realizer_rule_count: Optional[int] = None
 
 
-def _rule_valuation(universe: AtomUniverse, rules: dict[str, dict]) -> Valuation:
+def _rule_valuation(universe: AtomUniverse, rules: dict[str, Condition]) -> Valuation:
     # unruled atoms default to false: explicit rules only
     def evaluate(atom: Atom, view: StateView) -> bool:
-        expr = rules.get(atom.id)
-        return eval_expr(expr, view) if expr is not None else False
+        cond = rules.get(atom.id)
+        return eval_expr(cond, view) if cond is not None else False
     return Valuation(universe, evaluate)
 
 
-def _rule_realizer(universe: AtomUniverse, rules: list[dict]) -> Realizer:
+def _rule_realizer(universe: AtomUniverse,
+                   rules: list[tuple[Condition, list[str]]]) -> Realizer:
     def propose(view: StateView) -> set[str]:
         out: set[str] = set()
-        for rule in rules:
-            if eval_expr(rule["condition"], view):
-                out.update(rule["propose"])
+        for cond, ids in rules:
+            if eval_expr(cond, view):
+                out.update(ids)
         return out
     return Realizer(universe, propose)
 
 
 def load_instance(doc: InstanceDoc) -> LoadedInstance:
-    """Validate a document and build its universe, valuation and realizer."""
+    """Validate a document, compile its conditions and build its universe,
+    valuation and realizer."""
     try:
         universe = AtomUniverse(
             Atom(a["id"], a["question"], a["level"], a.get("label"))
@@ -213,43 +256,49 @@ def load_instance(doc: InstanceDoc) -> LoadedInstance:
     except InvalidState as exc:
         raise SchemaError(str(exc)) from None
 
-    truth_rules: dict[str, dict] = {}
+    truth_exprs: dict[str, dict] = {}
     for rule in doc.truth_rules:
         atom_id = rule["atom"]
         if atom_id not in universe:
             raise UnknownReference(f"truth rule for unknown atom {atom_id!r}")
-        if atom_id in truth_rules:
+        if atom_id in truth_exprs:
             raise DuplicateTruthRule(f"two truth rules for atom {atom_id!r}")
-        truth_rules[atom_id] = rule["condition"]
+        truth_exprs[atom_id] = rule["condition"]
 
-    question_levels = {q: universe.question_level(q)
-                       for q in universe.question_index}
-
-    def check_refs(expr, where: str, level_cap: Optional[int]) -> None:
-        atoms, questions = expr_refs(expr)
+    def compile_checked(expr, where: str, level_cap: Optional[int]) -> Condition:
+        atoms: set[str] = set()
+        questions: set[str] = set()
+        cond = compile_expr(expr, atoms, questions)
         for ref in sorted(atoms):
             if ref not in universe:
                 raise UnknownReference(f"{where} references unknown atom {ref!r}")
-            if level_cap is not None and universe.level(ref) >= level_cap:
+            level = universe.level(ref)
+            if level_cap is not None and level >= level_cap:
                 raise LevelMaskViolation(
                     f"{where} references atom {ref!r} at level "
-                    f"{universe.level(ref)}, at or above its own level {level_cap}")
+                    f"{level}, at or above its own level {level_cap}")
         for ref in sorted(questions):
-            if ref not in question_levels:
+            if ref not in universe.question_index:
                 raise UnknownReference(f"{where} references unknown question {ref!r}")
-            if level_cap is not None and question_levels[ref] >= level_cap:
+            level = universe.question_level(ref)
+            if level_cap is not None and level >= level_cap:
                 raise LevelMaskViolation(
                     f"{where} references question {ref!r} at level "
-                    f"{question_levels[ref]}, at or above its own level {level_cap}")
+                    f"{level}, at or above its own level {level_cap}")
+        return cond
 
-    for atom_id, expr in truth_rules.items():
-        check_refs(expr, f"truth rule for {atom_id!r}", universe.level(atom_id))
+    truth_rules = {
+        atom_id: compile_checked(expr, f"truth rule for {atom_id!r}",
+                                 universe.level(atom_id))
+        for atom_id, expr in truth_exprs.items()}
+    realizer_rules = []
     for i, rule in enumerate(doc.realizer_rules):
-        check_refs(rule["condition"], f"realizer rule {i}", None)
+        cond = compile_checked(rule["condition"], f"realizer rule {i}", None)
         for ref in rule["propose"]:
             if ref not in universe:
                 raise UnknownReference(
                     f"realizer rule {i} proposes unknown atom {ref!r}")
+        realizer_rules.append((cond, rule["propose"]))
 
     for atom_id in doc.initial:
         if atom_id not in universe:
@@ -259,7 +308,7 @@ def load_instance(doc: InstanceDoc) -> LoadedInstance:
     initial = frozenset(doc.initial)
 
     valuation = _rule_valuation(universe, truth_rules)
-    realizer = _rule_realizer(universe, doc.realizer_rules)
+    realizer = _rule_realizer(universe, realizer_rules)
     if not is_sound(valuation, initial):
         raise UnsoundInitial(
             f"initial state {sorted(initial)} is not sound under the rules")

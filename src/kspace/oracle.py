@@ -68,7 +68,15 @@ class StateView:
         return query(question, self._members, self.universe)
 
     def present(self, atom_id: str) -> bool:
-        return atom_id in self.query(self.universe.atom(atom_id).question)
+        # an atom's level is its question's, so this is the mask check of
+        # `query` without building the question's answer set
+        atom = self.universe.atom(atom_id)
+        if self._level_cap is not None and atom.level >= self._level_cap:
+            raise MaskViolation(
+                f"query of question {atom.question!r} at level {atom.level} "
+                f"breaks the mask at cap {self._level_cap}"
+            )
+        return atom_id in self._members
 
     def answered(self, question: str) -> bool:
         return bool(self.query(question))

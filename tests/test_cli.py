@@ -36,13 +36,49 @@ def _independent_questions(n):
         initial=[])
 
 
-def _on_file(command, make_doc):
-    """argv builder: `command` on make_doc() written to a file."""
+def _on_text(command, make_text):
+    """argv builder: `command` on make_text() written to a file."""
     def build(tmp_path):
         path = tmp_path / "instance.json"
-        path.write_text(make_doc().to_json())
+        path.write_text(make_text())
         return [command, str(path)]
     return build
+
+
+def _on_file(command, make_doc):
+    """argv builder: `command` on make_doc() written to a file."""
+    return _on_text(command, lambda: make_doc().to_json())
+
+
+def _t3_with(edit):
+    """JSON text of t3 after edit(data) changes its parsed document."""
+    def make_text():
+        data = json.loads(builtin_t3().to_json())
+        edit(data)
+        return json.dumps(data)
+    return make_text
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def edit(data):
+        for step in path:
+            data = data[step]
+        data[key] = value
+    return edit
+
+
+def _deep_condition(key, depth):
+    """JSON text of t3 whose first truth rule nests `depth` `key` objects."""
+    opening, closing = {"and": ('{"and": [', "]}"), "not": ('{"not": ', "}")}[key]
+
+    def make_text():
+        doc = builtin_t3()
+        doc.truth_rules[0]["condition"] = "deep"
+        return doc.to_json().replace(
+            '"deep"', opening * depth + '{"const": true}' + closing * depth)
+    return make_text
 
 
 def _non_utf8(tmp_path):
@@ -229,6 +265,28 @@ EXIT_CODE_CASES = [
                  4, "65 proposals exceed cap 64", id="proposal-cap"),
     pytest.param(_on_file("lint", _breach_doc), 5, "",
                  id="lint-breach"),
+    pytest.param(_on_text("run", _deep_condition("and", 400)), 2,
+                 "nested more than 100 levels", id="condition-too-deep"),
+    pytest.param(_on_text("validate", _deep_condition("not", 3000)), 2,
+                 "JSON nested too deeply", id="json-too-deep"),
+    pytest.param(_on_text("validate", _t3_with(_set("atoms", 5))), 2,
+                 "atoms must be a list", id="atoms-not-a-list"),
+    pytest.param(_on_text("validate", _t3_with(_set("truth_rules", 3))), 2,
+                 "truth_rules must be a list", id="truth-rules-not-a-list"),
+    pytest.param(_on_text("validate", _t3_with(_set("atoms", 0, "level", "1"))), 2,
+                 "level must be an integer", id="level-string"),
+    pytest.param(_on_text("validate", _t3_with(_set("atoms", 0, "level", 1.5))), 2,
+                 "level must be an integer", id="level-float"),
+    pytest.param(_on_text("validate", _t3_with(_set("atoms", 0, "level", True))), 2,
+                 "level must be an integer", id="level-bool"),
+    pytest.param(_on_text("validate", _t3_with(_set("atoms", 0, "id", ["a0"]))), 2,
+                 "must be strings", id="atom-id-list"),
+    pytest.param(_on_text("validate", _t3_with(_set("truth_rules", 0, "atom", ["a0"]))),
+                 2, "must be an id string", id="truth-rule-atom-list"),
+    pytest.param(_on_text("validate",
+                          _t3_with(_set("realizer_rules", 0, "propose", [["a0"]]))),
+                 2, "propose must be a list of atom id strings",
+                 id="propose-entry-list"),
 ]
 
 

@@ -34,6 +34,11 @@ class TestUniverse:
             indexed |= ids
         assert indexed == all_ids
 
+    def test_question_level(self, t3_universe):
+        assert [t3_universe.question_level(q) for q in ("q0", "q1", "q2")] == [0, 1, 2]
+        with pytest.raises(UnknownQuestion):
+            t3_universe.question_level("nope")
+
 
 class TestIsState:
     def test_empty(self, t3_universe):

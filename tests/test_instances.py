@@ -1,9 +1,13 @@
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kspace.engine import STRATEGY_NAMES, explore_tree, make_strategy, run
 from kspace.instances import (
     DuplicateTruthRule,
     InstanceDoc,
+    InstanceError,
     LevelMaskViolation,
     SchemaError,
     UnknownReference,
@@ -82,6 +86,51 @@ class TestDocSchema:
     def test_bad_json(self):
         with pytest.raises(SchemaError):
             InstanceDoc.from_json("{nope")
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats(allow_nan=False)
+    | st.sampled_from(["a", "b", "q", "present", "and"]),
+    lambda sub: st.lists(sub, max_size=3)
+    | st.dictionaries(st.sampled_from(["a", "not", "const", "id"]), sub, max_size=2),
+    max_leaves=8)
+_IDS = st.sampled_from(["a", "b", "c"])
+
+
+def _or_any(strategy):
+    """A well-formed value, or one time in ten any JSON value instead."""
+    return st.integers(0, 9).flatmap(lambda i: _JSON if i == 0 else strategy)
+
+
+_CONDITIONS = st.recursive(
+    _or_any(st.one_of(st.fixed_dictionaries({"const": st.booleans()}),
+                      st.fixed_dictionaries({"present": _IDS}),
+                      st.fixed_dictionaries({"answered": st.sampled_from(["q0", "q1"])}))),
+    lambda sub: _or_any(st.one_of(st.fixed_dictionaries({"not": sub}),
+                                  st.fixed_dictionaries({"and": st.lists(sub, max_size=3)}),
+                                  st.fixed_dictionaries({"or": st.lists(sub, max_size=3)}))),
+    max_leaves=6)
+_DOCUMENTS = st.fixed_dictionaries({
+    "atoms": _or_any(st.lists(_or_any(st.fixed_dictionaries(
+        {"id": _or_any(_IDS), "question": _or_any(st.sampled_from(["q0", "q1"])),
+         "level": _or_any(st.integers(-1, 2))},
+        optional={"label": _or_any(st.just("text"))})), max_size=4)),
+    "truth_rules": _or_any(st.lists(_or_any(st.fixed_dictionaries(
+        {"atom": _or_any(_IDS), "condition": _CONDITIONS})), max_size=3)),
+    "realizer_rules": _or_any(st.lists(_or_any(st.fixed_dictionaries(
+        {"condition": _CONDITIONS, "propose": _or_any(st.lists(_or_any(_IDS), max_size=2))})),
+        max_size=3)),
+    "initial": _or_any(st.lists(_or_any(_IDS), max_size=2)),
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_or_any(_DOCUMENTS))
+def test_any_json_value_loads_or_raises_instance_error(data):
+    try:
+        load_instance(InstanceDoc.from_dict(json.loads(json.dumps(data))))
+    except InstanceError:
+        pass
 
 
 class TestT3Dynamics:

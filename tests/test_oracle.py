@@ -33,6 +33,15 @@ class TestTruth:
         with pytest.raises(MaskViolation):
             truth(bad, "c2", fs())
 
+    def test_masked_view_rejects_present_at_or_above_level(self, t3_universe):
+        # b1 sits at level 1: a0 lies below it, b1' at it and c2 above it
+        def peek(atom_id):
+            return Valuation(t3_universe, lambda atom, view: view.present(atom_id))
+        assert truth(peek("a0"), "b1", fs("a0")) is True
+        for atom_id in ("b1'", "c2"):
+            with pytest.raises(MaskViolation, match="breaks the mask at cap 1"):
+                truth(peek(atom_id), "b1", fs(atom_id))
+
 
 class TestIsSound:
     def test_empty_is_sound(self, t3):
