@@ -17,7 +17,6 @@ from .core import (
     is_state,
     level_restrict,
     query,
-    require_state,
 )
 from .engine import (
     FuelExhausted,
@@ -27,7 +26,6 @@ from .engine import (
     enumerate_candidates,
     explore_tree,
     is_prefixed,
-    longest_chain,
     make_strategy,
     run,
     step,

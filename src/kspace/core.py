@@ -28,17 +28,16 @@ class InvalidState(KspaceError):
     pass
 
 
-#: Level comparison selectors accepted by :func:`level_restrict`.
-CMP_BELOW = "below"
-CMP_AT = "at"
-CMP_ABOVE = "above"
-CMP_AT_OR_BELOW = "at_or_below"
+#: Highest atom level accepted.  The per-edge checks loop over every
+#: level up to the top one, so their cost grows with its value.
+MAX_LEVEL = 1000
 
+# level comparison selectors accepted by `level_restrict`
 _CMP_FUNCS = {
-    CMP_BELOW: lambda lvl, n: lvl < n,
-    CMP_AT: lambda lvl, n: lvl == n,
-    CMP_ABOVE: lambda lvl, n: lvl > n,
-    CMP_AT_OR_BELOW: lambda lvl, n: lvl <= n,
+    "below": lambda lvl, n: lvl < n,
+    "at": lambda lvl, n: lvl == n,
+    "above": lambda lvl, n: lvl > n,
+    "at_or_below": lambda lvl, n: lvl <= n,
 }
 
 State = frozenset
@@ -63,6 +62,9 @@ class AtomUniverse:
                 raise InvalidState(f"duplicate atom id {atom.id!r}")
             if atom.level < 0:
                 raise InvalidState(f"atom {atom.id!r} has negative level")
+            if atom.level > MAX_LEVEL:
+                raise InvalidState(
+                    f"atom {atom.id!r} has level {atom.level} above {MAX_LEVEL}")
             self._atoms[atom.id] = atom
             index.setdefault(atom.question, set()).add(atom.id)
         self.question_index: dict[str, frozenset[str]] = {
@@ -124,14 +126,6 @@ def is_state(members: Iterable[str], universe: AtomUniverse) -> bool:
             return False
         seen.add(q)
     return True
-
-
-def require_state(members: Iterable[str], universe: AtomUniverse) -> State:
-    """Canonicalize an iterable of atom ids into a valid state or raise."""
-    state = frozenset(members)
-    if not is_state(state, universe):
-        raise InvalidState(f"members {sorted(state)} answer some question twice")
-    return state
 
 
 def level_restrict(members: State, cmp: str, n: int, universe: AtomUniverse) -> State:

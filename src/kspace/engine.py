@@ -15,7 +15,6 @@ building it.
 from __future__ import annotations
 
 import itertools
-import json
 import operator
 import random
 from collections.abc import Iterator, Sequence
@@ -32,7 +31,7 @@ from .core import (
 )
 from .oracle import Realizer, Valuation, is_sound, realize, truth
 
-DEFAULT_CANDIDATE_CAP = 4096
+CANDIDATE_CAP = 4096
 
 STRATEGY_NAMES = (
     "lowest-level-first",
@@ -55,10 +54,6 @@ class InvalidCandidate(KspaceError):
 
 
 class CandidateExplosion(KspaceError):
-    pass
-
-
-class IncompleteTree(KspaceError):
     pass
 
 
@@ -132,16 +127,16 @@ class Candidates(Sequence):
     lazy, in a fixed order: level ascending, then lexicographic on sorted
     member ids.
 
-    The proposals are held grouped by level and question.  `size`,
-    indexing (which unranks one set) and `in` never build the other
-    candidates; iteration does, and raises CandidateExplosion when there
-    are more than `cap` of them.  `size` is the number of candidates;
-    `len()` gives the same number but fails above `sys.maxsize`, which
-    64 proposals on 64 questions reach.
+    `proposals` is the proposal set; it is also held grouped by level and
+    question.  `size`, indexing (which unranks one set) and `in` never
+    build the other candidates; iteration does, and raises
+    CandidateExplosion when there are more than `CANDIDATE_CAP` of them.
+    `size` is the number of candidates; `len()` gives the same number but
+    fails above `sys.maxsize`, which 64 proposals on 64 questions reach.
     """
 
-    def __init__(self, universe: AtomUniverse, proposals: frozenset[str],
-                 cap: int = DEFAULT_CANDIDATE_CAP):
+    def __init__(self, universe: AtomUniverse, proposals: frozenset[str]):
+        self.proposals = proposals
         by_level: dict[int, dict[str, list[str]]] = {}
         self._where: dict[str, tuple[int, str]] = {}
         for atom_id in proposals:
@@ -155,7 +150,6 @@ class Candidates(Sequence):
         self._counts = [prod(len(ids) + 1 for ids in self._groups[level]) - 1
                         for level in self.levels]
         self.size = sum(self._counts)
-        self.cap = cap
 
     def __len__(self) -> int:
         return self.size
@@ -214,8 +208,8 @@ class Candidates(Sequence):
 
     def __iter__(self) -> Iterator[State]:
         # checked on iter(), which list() calls before it asks len()
-        if self.size > self.cap:
-            raise CandidateExplosion(f"more than {self.cap} candidates")
+        if self.size > CANDIDATE_CAP:
+            raise CandidateExplosion(f"more than {CANDIDATE_CAP} candidates")
         return itertools.chain.from_iterable(
             self._level_sets(self._groups[level]) for level in self.levels)
 
@@ -234,24 +228,21 @@ class Candidates(Sequence):
         return frozenset(ids[0] for ids in self._groups[level])
 
 
-def candidates_from_proposals(universe: AtomUniverse, members: State,
-                              proposals: frozenset[str],
-                              cap: int = DEFAULT_CANDIDATE_CAP) -> Candidates:
+def candidates_from_proposals(universe: AtomUniverse,
+                              proposals: frozenset[str]) -> Candidates:
     """The candidates of a proposal set, as a lazy `Candidates` sequence."""
-    return Candidates(universe, proposals, cap)
+    return Candidates(universe, proposals)
 
 
-def _candidates(members: State, r: Realizer, v: Valuation,
-                cap: int = DEFAULT_CANDIDATE_CAP) -> Candidates:
+def _candidates(members: State, r: Realizer, v: Valuation) -> Candidates:
     proposals = realize(r, v, members, mode="filter")
-    return candidates_from_proposals(r.universe, members, proposals, cap=cap)
+    return candidates_from_proposals(r.universe, proposals)
 
 
-def enumerate_candidates(members: State, r: Realizer, v: Valuation,
-                         cap: int = DEFAULT_CANDIDATE_CAP) -> list[State]:
+def enumerate_candidates(members: State, r: Realizer, v: Valuation) -> list[State]:
     """Every candidate at a state, as a list; raises CandidateExplosion when
-    there are more than `cap`."""
-    return list(_candidates(members, r, v, cap))
+    there are more than `CANDIDATE_CAP`."""
+    return list(_candidates(members, r, v))
 
 
 def apply_step(universe: AtomUniverse, members: State, chosen: State) -> State:
@@ -294,7 +285,7 @@ def is_prefixed(members: State, r: Realizer, v: Valuation) -> bool:
 # ---------------------------------------------------------------------------
 # strategies
 
-def make_strategy(name: str, seed: int = 0) -> Callable[[AtomUniverse, Candidates], State]:
+def make_strategy(name: str, seed: int = 0) -> Callable[[Candidates], State]:
     """A choice procedure over the candidates of a state.
 
     `lowest-level-first` takes the first candidate in enumeration order
@@ -310,22 +301,22 @@ def make_strategy(name: str, seed: int = 0) -> Callable[[AtomUniverse, Candidate
     # other such set (its j smallest ids answer j questions, so j minima lie
     # at or below its j-th id), hence lexicographically first.
     if name == "lowest-level-first":
-        return lambda universe, cands: cands[0]
+        return lambda cands: cands[0]
     if name == "highest-level-first":
-        return lambda universe, cands: cands.smallest_per_question(cands.levels[-1])
+        return lambda cands: cands.smallest_per_question(cands.levels[-1])
     if name == "maximal-set-per-lowest-level":
-        return lambda universe, cands: cands.smallest_per_question(cands.levels[0])
+        return lambda cands: cands.smallest_per_question(cands.levels[0])
     if name == "seeded-random":
         rng = random.Random(seed)
         # rng.choice(seq) is seq[rng._randbelow(len(seq))] and randrange(n)
         # is rng._randbelow(n), so this draws what rng.choice(list(cands))
         # draws, without the list and without len()'s sys.maxsize limit
-        return lambda universe, cands: cands[rng.randrange(cands.size)]
+        return lambda cands: cands[rng.randrange(cands.size)]
     raise ValueError(f"unknown strategy {name!r}")
 
 
 def run(members: State, r: Realizer, v: Valuation,
-        strategy: Callable[[AtomUniverse, Candidates], State],
+        strategy: Callable[[Candidates], State],
         fuel: int) -> tuple[list[ReductionStep], State]:
     """Apply the strategy's chosen candidate until none exists.
 
@@ -342,7 +333,7 @@ def run(members: State, r: Realizer, v: Valuation,
         candidates = _candidates(current, r, v)
         if not candidates:
             return trace, current
-        chosen = strategy(universe, candidates)
+        chosen = strategy(candidates)
         if chosen not in candidates:
             raise InvalidCandidate("strategy chose outside the candidate set")
         edge = ReductionStep(current, chosen,
@@ -393,15 +384,16 @@ def check_edge(v: Valuation, edge: ReductionStep) -> list[str]:
 
 
 def check_node(members: State, r: Realizer, v: Valuation, *,
-               proposals: Optional[frozenset[str]] = None) -> list[str]:
+               candidates: Optional[Candidates] = None) -> list[str]:
     """Pre-fixed-point triple agreement at a single state.
 
-    `proposals` is the state's filtered proposal set when the caller has
-    already realized it; otherwise it is realized here.
+    `candidates` are the state's candidates when the caller has already
+    built them; otherwise the state is realized here.
     """
-    if proposals is None:
-        proposals = realize(r, v, members, mode="filter")
-    no_candidates = not candidates_from_proposals(r.universe, members, proposals)
+    if candidates is None:
+        candidates = _candidates(members, r, v)
+    proposals = candidates.proposals
+    no_candidates = not candidates
     contained = proposals <= members
     empty = not proposals
     if no_candidates == contained == empty:
@@ -414,8 +406,7 @@ def check_node(members: State, r: Realizer, v: Valuation, *,
 
 def explore_tree(root: State, r: Realizer, v: Valuation,
                  fuel_depth: int = 10_000, max_nodes: int = 1_000_000,
-                 check_lemmas: bool = True,
-                 candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> ReductionTree:
+                 check_lemmas: bool = True) -> ReductionTree:
     """Exhaustively explore every reduction step from `root`.
 
     The walk is breadth-first over distinct states, one depth at a time,
@@ -441,14 +432,13 @@ def explore_tree(root: State, r: Realizer, v: Valuation,
             return successors[members]
         except KeyError:
             pass
-        proposals = realize(r, v, members, mode="filter")
+        candidates = _candidates(members, r, v)
         if check_lemmas:
-            for name in check_node(members, r, v, proposals=proposals):
+            for name in check_node(members, r, v, candidates=candidates):
                 tree.check_failures.append(
                     (ReductionStep(members, frozenset(), members, 0), name))
         edges = []
-        for chosen in candidates_from_proposals(universe, members, proposals,
-                                                cap=candidate_cap):
+        for chosen in candidates:
             edge = ReductionStep(
                 members, chosen, apply_step(universe, members, chosen),
                 homogeneous_level(chosen, universe))
@@ -505,13 +495,6 @@ def explore_tree(root: State, r: Realizer, v: Valuation,
         frontier = next_frontier
 
 
-def longest_chain(tree: ReductionTree) -> int:
-    """Length of the longest reduction sequence in a complete tree."""
-    if not tree.complete:
-        raise IncompleteTree("tree was cut off by a budget")
-    return tree.max_depth
-
-
 # ---------------------------------------------------------------------------
 # trace export
 
@@ -527,9 +510,3 @@ def step_record(v: Valuation, index: int, edge: ReductionStep) -> dict:
         "state_after": sorted(edge.target),
         "sound_after": is_sound(v, edge.target),
     }
-
-
-def trace_to_jsonl(v: Valuation, trace: list[ReductionStep]) -> str:
-    lines = [json.dumps(step_record(v, i, e), sort_keys=True)
-             for i, e in enumerate(trace)]
-    return "\n".join(lines)

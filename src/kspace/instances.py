@@ -24,6 +24,8 @@ from .core import (
 from .oracle import Realizer, StateView, Valuation, is_sound
 
 ARGMIN_MAX_POINTS = 32
+CASCADE_MAX_DEPTH = 64
+CASCADE_MAX_WIDTH = 64
 RANDOM_MAX_ATOMS = 64
 RANDOM_MAX_LEVEL = 16
 RANDOM_MAX_RULES = 256
@@ -222,7 +224,6 @@ class LoadedInstance:
     realizer: Realizer
     initial: State
     witness: Optional[Callable[[State], int]] = None
-    doc: Optional[InstanceDoc] = None
     truth_rule_count: Optional[int] = None
     realizer_rule_count: Optional[int] = None
 
@@ -315,7 +316,7 @@ def load_instance(doc: InstanceDoc) -> LoadedInstance:
 
     return LoadedInstance(
         universe=universe, valuation=valuation, realizer=realizer,
-        initial=initial, doc=doc,
+        initial=initial,
         truth_rule_count=len(truth_rules),
         realizer_rule_count=len(doc.realizer_rules))
 
@@ -419,6 +420,9 @@ def gen_cascade(depth: int, width: int, seed: int) -> InstanceDoc:
     """
     if depth < 1 or width < 1:
         raise InstanceError("depth and width must be >= 1")
+    if depth > CASCADE_MAX_DEPTH or width > CASCADE_MAX_WIDTH:
+        raise InstanceError(f"depth must be at most {CASCADE_MAX_DEPTH} "
+                            f"and width at most {CASCADE_MAX_WIDTH}")
 
     atoms = [{"id": "base", "question": "q0", "level": 0}]
     truth_rules = [{"atom": "base", "condition": {"const": True}}]

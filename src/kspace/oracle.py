@@ -25,7 +25,7 @@ from .core import (
     query,
 )
 
-DEFAULT_PROPOSAL_CAP = 64
+PROPOSAL_CAP = 64
 
 
 class MaskViolation(KspaceError):
@@ -98,17 +98,15 @@ class Realizer:
     """Proposal procedure over an unmasked state view."""
 
     def __init__(self, universe: AtomUniverse,
-                 fn: Callable[[StateView], Iterable[str]],
-                 proposal_cap: int = DEFAULT_PROPOSAL_CAP):
+                 fn: Callable[[StateView], Iterable[str]]):
         self.universe = universe
         self._fn = fn
-        self.proposal_cap = proposal_cap
 
     def propose(self, view: StateView) -> frozenset[str]:
         raw = frozenset(self._fn(view))
-        if len(raw) > self.proposal_cap:
+        if len(raw) > PROPOSAL_CAP:
             raise ProposalCapExceeded(
-                f"{len(raw)} proposals exceed cap {self.proposal_cap}"
+                f"{len(raw)} proposals exceed cap {PROPOSAL_CAP}"
             )
         for atom_id in raw:
             self.universe.atom(atom_id)  # raises UnknownAtom

@@ -4,7 +4,8 @@ observable.
 
 `explore_tree_by_paths` is the former `engine.explore_tree` verbatim,
 except that its thread-pool branch (`parallel=True`, never the default)
-is left out.  It builds one `TreeNode` per path and re-checks every edge
+and its candidate-cap parameter (the cap is now a constant) are left
+out.  It builds one `TreeNode` per path and re-checks every edge
 on every path that reaches it, so its cost grows with the number of
 paths: keep its inputs small.
 """
@@ -16,7 +17,6 @@ from typing import Optional
 
 from kspace.core import State, homogeneous_level
 from kspace.engine import (
-    DEFAULT_CANDIDATE_CAP,
     DepthExceeded,
     NodeBudgetExceeded,
     ReductionStep,
@@ -71,8 +71,7 @@ class PathTree:
 
 def explore_tree_by_paths(root: State, r: Realizer, v: Valuation,
                           fuel_depth: int = 10_000, max_nodes: int = 1_000_000,
-                          check_lemmas: bool = True,
-                          candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> PathTree:
+                          check_lemmas: bool = True) -> PathTree:
     universe = r.universe
     tree = PathTree(root=root)
     tree.nodes.append(TreeNode(root, 0, None, duplicate=False))
@@ -90,7 +89,7 @@ def explore_tree_by_paths(root: State, r: Realizer, v: Valuation,
                 tree.check_failures.append(
                     (ReductionStep(members, frozenset(), members, 0), name))
         edges = []
-        for chosen in enumerate_candidates(members, r, v, cap=candidate_cap):
+        for chosen in enumerate_candidates(members, r, v):
             edges.append(ReductionStep(
                 members, chosen, apply_step(universe, members, chosen),
                 homogeneous_level(chosen, universe)))

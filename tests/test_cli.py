@@ -1,10 +1,19 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kspace import engine
 from kspace.cli import main
-from kspace.instances import InstanceDoc, builtin_t3
+from kspace.instances import (
+    RANDOM_MAX_ATOMS,
+    RANDOM_MAX_LEVEL,
+    RANDOM_MAX_RULES,
+    InstanceDoc,
+    builtin_t3,
+)
 
 
 def invoke(capsys, *argv):
@@ -287,6 +296,15 @@ EXIT_CODE_CASES = [
                           _t3_with(_set("realizer_rules", 0, "propose", [["a0"]]))),
                  2, "propose must be a list of atom id strings",
                  id="propose-entry-list"),
+    pytest.param(_on_text("validate", _t3_with(_set("atoms", 3, "level", 1001))), 2,
+                 "level 1001 above 1000", id="level-above-max"),
+    pytest.param(_on_text("explore", _t3_with(_set("atoms", 3, "level", 1000))), 0,
+                 "", id="level-at-max"),
+    pytest.param(["validate", "cascade:65,1,0"], 2, "depth must be at most 64",
+                 id="cascade-too-deep"),
+    pytest.param(["validate", "cascade:1,65,0"], 2, "width at most 64",
+                 id="cascade-too-wide"),
+    pytest.param(["validate", "cascade:64,1,0"], 0, "", id="cascade-at-max"),
 ]
 
 
@@ -302,3 +320,61 @@ def test_exit_code(capsys, tmp_path, argv, expected, err_part):
     assert code == expected
     assert err_part in err
     assert "Traceback" not in err
+
+
+# exit codes README documents
+DOCUMENTED_EXIT_CODES = {0, 2, 3, 4, 5}
+
+
+def _spec(name, *fields):
+    return name + ":" + ",".join(str(f) for f in fields)
+
+
+def _in_or_past(low, high, small):
+    """A small in-range value, or one just outside `low..high`."""
+    return st.one_of(st.integers(low, min(high, small)),
+                     st.sampled_from([low - 1, high + 1]))
+
+
+BUILTIN_SPECS = st.one_of(
+    st.just("t3"),
+    st.lists(st.integers(0, 9), max_size=40).map(lambda xs: _spec("argmin", *xs)),
+    st.tuples(st.integers(-1, 6), st.integers(-1, 6), st.integers(-1, 6))
+    .map(lambda t: _spec("cascade", *t)),
+    st.tuples(_in_or_past(1, RANDOM_MAX_ATOMS, 8),
+              _in_or_past(0, RANDOM_MAX_LEVEL, 3),
+              _in_or_past(0, RANDOM_MAX_RULES, 10),
+              st.integers(-1, 50))
+    .map(lambda t: _spec("random", *t)),
+)
+FLAG_VALUES = st.integers(-1, 50)
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["validate", "run", "explore", "lint"]))
+    argv = [command, draw(BUILTIN_SPECS)]
+    if command == "run":
+        argv += ["--fuel", str(draw(FLAG_VALUES)),
+                 "--strategy", draw(st.sampled_from(engine.STRATEGY_NAMES)),
+                 "--seed", str(draw(FLAG_VALUES))]
+    elif command in ("explore", "lint"):
+        argv += ["--max-depth", str(draw(FLAG_VALUES)),
+                 "--max-nodes", str(draw(FLAG_VALUES))]
+    if draw(st.booleans()):
+        argv += ["--format", "json"]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_argv())
+def test_every_argv_exits_with_a_documented_code(argv):
+    # the specs stay small, and explore/lint always get a bounded --max-nodes
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in DOCUMENTED_EXIT_CODES, (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

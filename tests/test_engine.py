@@ -1,5 +1,3 @@
-import json
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +7,6 @@ from kspace.engine import (
     Candidates,
     DepthExceeded,
     FuelExhausted,
-    IncompleteTree,
     InvalidCandidate,
     NodeBudgetExceeded,
     NotHomogeneous,
@@ -20,11 +17,10 @@ from kspace.engine import (
     enumerate_candidates,
     explore_tree,
     is_prefixed,
-    longest_chain,
     make_strategy,
     run,
     step,
-    trace_to_jsonl,
+    step_record,
 )
 from kspace.instances import gen_cascade, load_instance
 from kspace.oracle import Realizer, Valuation
@@ -57,11 +53,12 @@ class TestEnumerateCandidates:
         assert enumerate_candidates(fs(), r, v) == [fs("x"), fs("x", "y"), fs("y")]
 
     def test_explosion_cap(self):
-        universe = AtomUniverse([Atom(f"a{i}", f"q{i}", 0) for i in range(8)])
-        r = Realizer(universe, lambda view: {f"a{i}" for i in range(8)})
+        # 13 independent atoms: 8191 candidates, past the cap of 4096
+        universe = AtomUniverse([Atom(f"a{i}", f"q{i}", 0) for i in range(13)])
+        r = Realizer(universe, lambda view: {f"a{i}" for i in range(13)})
         v = Valuation(universe, lambda atom, view: True)
-        with pytest.raises(CandidateExplosion):
-            enumerate_candidates(fs(), r, v, cap=100)
+        with pytest.raises(CandidateExplosion, match="more than 4096 candidates"):
+            enumerate_candidates(fs(), r, v)
 
 
 @st.composite
@@ -223,11 +220,19 @@ class TestExploreTree:
     def test_prefixed_root_is_single_node(self, t3):
         tree = explore_tree(T3_NORMAL_FORM, t3.realizer, t3.valuation)
         assert tree.node_count == 1 and tree.edge_count == 0
+        assert tree.complete and tree.max_depth == 0
 
     def test_depth_budget(self, t3):
         with pytest.raises(DepthExceeded) as err:
             explore_tree(fs(), t3.realizer, t3.valuation, fuel_depth=2)
         assert err.value.branch[0] == fs()
+
+    def test_budget_partial_is_incomplete(self, t3):
+        assert explore_tree(fs(), t3.realizer, t3.valuation).complete
+        with pytest.raises(DepthExceeded) as err:
+            explore_tree(fs(), t3.realizer, t3.valuation, fuel_depth=2)
+        assert err.value.partial.complete is False
+        assert err.value.partial.max_depth == 2
 
     def test_node_budget(self, t3):
         with pytest.raises(NodeBudgetExceeded):
@@ -252,22 +257,6 @@ class TestExploreTree:
             for e in trace:
                 assert e in edges
             assert final in tree.normal_forms
-
-
-class TestLongestChain:
-    def test_t3(self, t3):
-        assert longest_chain(explore_tree(fs(), t3.realizer, t3.valuation)) == 4
-
-    def test_single_node(self, t3):
-        assert longest_chain(
-            explore_tree(T3_NORMAL_FORM, t3.realizer, t3.valuation)) == 0
-
-    def test_incomplete_tree_rejected(self, t3):
-        try:
-            explore_tree(fs(), t3.realizer, t3.valuation, fuel_depth=2)
-        except DepthExceeded as err:
-            with pytest.raises(IncompleteTree):
-                longest_chain(err.partial)
 
 
 class TestEdgeChecks:
@@ -309,9 +298,8 @@ class TestTraceExport:
     def test_jsonl_fields(self, t3):
         trace, _ = run(fs(), t3.realizer, t3.valuation,
                        make_strategy("highest-level-first"), 10)
-        lines = trace_to_jsonl(t3.valuation, trace).splitlines()
-        assert len(lines) == 4
-        records = [json.loads(line) for line in lines]
+        records = [step_record(t3.valuation, i, e) for i, e in enumerate(trace)]
+        assert len(records) == 4
         for i, rec in enumerate(records):
             assert set(rec) == {"step_index", "level", "chosen", "dropped",
                                 "state_after", "sound_after"}

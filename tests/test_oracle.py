@@ -86,11 +86,10 @@ class TestRealize:
             == fs("a0", "b1")
 
     def test_proposal_cap(self):
-        universe = AtomUniverse([Atom(f"a{i}", f"q{i}", 0) for i in range(5)])
-        r = Realizer(universe, lambda view: {f"a{i}" for i in range(5)},
-                     proposal_cap=3)
+        universe = AtomUniverse([Atom(f"a{i}", f"q{i}", 0) for i in range(65)])
+        r = Realizer(universe, lambda view: {f"a{i}" for i in range(65)})
         v = Valuation(universe, lambda atom, view: True)
-        with pytest.raises(ProposalCapExceeded):
+        with pytest.raises(ProposalCapExceeded, match="65 proposals exceed cap 64"):
             realize(r, v, fs())
 
 
