@@ -8,7 +8,9 @@ so that equal member sets compare (and hash) equal everywhere.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from typing import Iterable, Optional
 
 
@@ -29,7 +31,8 @@ class InvalidState(KspaceError):
 
 
 #: Highest atom level accepted.  The per-edge checks loop over every
-#: level up to the top one, so their cost grows with its value.
+#: integer level up to the top one, a few int operations each, and a
+#: universe keeps one level mask per integer level.
 MAX_LEVEL = 1000
 
 # level comparison selectors accepted by `level_restrict`
@@ -52,10 +55,16 @@ class Atom:
 
 
 class AtomUniverse:
-    """Finite, immutable collection of atoms indexed by id and by question."""
+    """Finite, immutable collection of atoms indexed by id and by question.
+
+    Each atom also owns one bit, its position in id order, so that a set
+    of atoms can be held as an int (`bits`).  The bit table and the level
+    masks are built on first use.
+    """
 
     def __init__(self, atoms: Iterable[Atom]):
         self._atoms: dict[str, Atom] = {}
+        self._max_level = 0
         index: dict[str, set[str]] = {}
         for atom in atoms:
             if atom.id in self._atoms:
@@ -66,6 +75,8 @@ class AtomUniverse:
                 raise InvalidState(
                     f"atom {atom.id!r} has level {atom.level} above {MAX_LEVEL}")
             self._atoms[atom.id] = atom
+            if atom.level > self._max_level:
+                self._max_level = atom.level
             index.setdefault(atom.question, set()).add(atom.id)
         self.question_index: dict[str, frozenset[str]] = {
             q: frozenset(ids) for q, ids in index.items()
@@ -84,8 +95,12 @@ class AtomUniverse:
     def __contains__(self, atom_id: str) -> bool:
         return atom_id in self._atoms
 
+    @cached_property
+    def _sorted_atoms(self) -> tuple[Atom, ...]:
+        return tuple(sorted(self._atoms.values(), key=lambda a: a.id))
+
     def atoms(self) -> list[Atom]:
-        return sorted(self._atoms.values(), key=lambda a: a.id)
+        return list(self._sorted_atoms)
 
     def atom(self, atom_id: str) -> Atom:
         try:
@@ -109,12 +124,30 @@ class AtomUniverse:
         return self.atom(atom_id).level
 
     def max_level(self) -> int:
-        if not self._atoms:
-            return 0
-        return max(a.level for a in self._atoms.values())
+        return self._max_level
 
     def levels(self) -> list[int]:
         return sorted({a.level for a in self._atoms.values()})
+
+    @cached_property
+    def _bit(self) -> dict[str, int]:
+        return {a.id: 1 << i for i, a in enumerate(self._sorted_atoms)}
+
+    def bits(self, members: Iterable[str]) -> int:
+        """The set of atom ids as an int with one bit per atom."""
+        try:
+            return reduce(operator.or_, map(self._bit.__getitem__, members), 0)
+        except KeyError as exc:
+            raise UnknownAtom(f"unknown atom id {exc.args[0]!r}") from None
+
+    @cached_property
+    def at_level(self) -> tuple[int, ...]:
+        """`at_level[m]`: the bits of the atoms at level m, for every
+        integer m in 0..max_level()+1 (the last one is empty)."""
+        masks = [0] * (self._max_level + 2)
+        for atom_id, bit in self._bit.items():
+            masks[self._atoms[atom_id].level] |= bit
+        return tuple(masks)
 
 
 def is_state(members: Iterable[str], universe: AtomUniverse) -> bool:

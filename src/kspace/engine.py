@@ -350,29 +350,38 @@ def run(members: State, r: Realizer, v: Valuation,
 # per-edge invariant suite
 
 def check_edge(v: Valuation, edge: ReductionStep) -> list[str]:
-    """Names of the per-edge invariants the edge violates (empty if clean)."""
+    """Names of the per-edge invariants the edge violates (empty if clean).
+
+    The level checks run on the bit sets of X and Y (`AtomUniverse.bits`),
+    at every integer level m from 0 to one above the top level.
+    """
     universe = v.universe
     X, s, Y, n = edge.source, edge.chosen, edge.target, edge.level
     fails: list[str] = []
+    x, y = universe.bits(X), universe.bits(Y)
+    at_level = universe.at_level
 
-    def lr(members, cmp, m):
-        return level_restrict(members, cmp, m, universe)
-
-    if not lr(X, "at", n) < lr(Y, "at", n):
+    # a level outside 0..max_level()+1 holds no atom
+    at_n = at_level[n] if 0 <= n < len(at_level) else 0
+    x_n, y_n = x & at_n, y & at_n
+    if x_n & ~y_n or x_n == y_n:
         fails.append("at-level-strict-growth")
     if Y == X:
         fails.append("no-self-step")
-    for m in range(universe.max_level() + 2):
-        le_x, le_y = lr(X, "at_or_below", m), lr(Y, "at_or_below", m)
-        lt_x, lt_y = lr(X, "below", m), lr(Y, "below", m)
-        if m <= n and not le_x <= le_y:
+    # lt_*: the atoms of X and Y below m; le_*: at or below m
+    lt_x = lt_y = 0
+    for m, at_m in enumerate(at_level):
+        le_x, le_y = lt_x | (x & at_m), lt_y | (y & at_m)
+        lost = le_x & ~le_y
+        if m <= n and lost:
             fails.append(f"low-levels-preserved[m={m}]")
-        if not le_x <= le_y and lr(Y, "at", m):
+        if lost and y & at_m:
             fails.append(f"lost-level-emptied[m={m}]")
         if lt_x == lt_y and m > n:
             fails.append(f"unchanged-prefix-bound[m={m}]")
-        if lt_x == lt_y and not le_x <= le_y:
+        if lt_x == lt_y and lost:
             fails.append(f"unchanged-prefix-growth[m={m}]")
+        lt_x, lt_y = le_x, le_y
     if len(Y) > len(X) + len(s):
         fails.append("finiteness-bound")
     if is_sound(v, X) and not is_sound(v, Y):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NoReturn, Optional
 
 from .core import (
     Atom,
@@ -21,11 +21,9 @@ from .core import (
     State,
     is_state,
 )
-from .oracle import Realizer, StateView, Valuation, is_sound
+from .oracle import PROPOSAL_CAP, Realizer, StateView, Valuation, is_sound
 
 ARGMIN_MAX_POINTS = 32
-CASCADE_MAX_DEPTH = 64
-CASCADE_MAX_WIDTH = 64
 RANDOM_MAX_ATOMS = 64
 RANDOM_MAX_LEVEL = 16
 RANDOM_MAX_RULES = 256
@@ -95,30 +93,31 @@ def validate_expr(expr, depth: int = 1) -> None:
 
 def compile_expr(expr, atoms: set[str], questions: set[str],
                  depth: int = 1) -> Condition:
-    """Compile a condition that `validate_expr` accepts into a function of
-    a state view, adding the atom and question ids it references to
-    `atoms` and `questions`.
+    """Compile a condition into a function of a state view, adding the atom
+    and question ids it references to `atoms` and `questions`.
 
-    The compiled function evaluates sub-conditions in document order and
-    stops at the first that decides an "and" or "or".
+    Each node gets the checks `validate_expr` gives it, and a node that
+    fails them raises the same SchemaError, so a document built in Python,
+    which `from_dict` never saw, is rejected too.  The compiled function
+    evaluates sub-conditions in document order and stops at the first that
+    decides an "and" or "or".
     """
-    if depth > MAX_CONDITION_DEPTH:
-        raise SchemaError(
-            f"condition nested more than {MAX_CONDITION_DEPTH} levels deep")
+    if depth > MAX_CONDITION_DEPTH or not isinstance(expr, dict) or len(expr) != 1:
+        _reject(expr, depth)
     ((key, value),) = expr.items()
-    if key == "const":
+    if key == "const" and isinstance(value, bool):
         return lambda view: value
-    if key == "present":
+    if key == "present" and isinstance(value, str):
         atoms.add(value)
         return lambda view: view.present(value)
-    if key == "answered":
+    if key == "answered" and isinstance(value, str):
         questions.add(value)
         return lambda view: view.answered(value)
     if key == "not":
         inner = compile_expr(value, atoms, questions, depth + 1)
         return lambda view: not inner(view)
-    if key not in ("and", "or"):
-        raise SchemaError(f"unknown condition key {key!r}")
+    if key not in ("and", "or") or not isinstance(value, list):
+        _reject(expr, depth)
     subs = []
     for sub in value:
         subs.append(compile_expr(sub, atoms, questions, depth + 1))
@@ -136,6 +135,13 @@ def compile_expr(expr, atoms: set[str], questions: set[str],
                 return True
         return False
     return disjunction
+
+
+def _reject(expr, depth: int) -> NoReturn:
+    """Raise the SchemaError `validate_expr` raises for a node that is
+    malformed in itself."""
+    validate_expr(expr, depth)
+    raise AssertionError(f"validate_expr accepted {expr!r}")
 
 
 def eval_expr(cond: Condition, view: StateView) -> bool:
@@ -416,13 +422,15 @@ def gen_cascade(depth: int, width: int, seed: int) -> InstanceDoc:
     interchangeable "wrong" atoms (true while it is not).  Wrong atoms
     are proposable only while the question below is still open, so early
     high-level guesses get erased when lower answers arrive.  The seed
-    only shuffles listing order.
+    only shuffles listing order.  The root proposes the base fact and
+    every wrong atom, so depth*width + 1 may not exceed `PROPOSAL_CAP`.
     """
     if depth < 1 or width < 1:
         raise InstanceError("depth and width must be >= 1")
-    if depth > CASCADE_MAX_DEPTH or width > CASCADE_MAX_WIDTH:
-        raise InstanceError(f"depth must be at most {CASCADE_MAX_DEPTH} "
-                            f"and width at most {CASCADE_MAX_WIDTH}")
+    if depth * width + 1 > PROPOSAL_CAP:
+        raise InstanceError(
+            f"depth*width + 1 must be at most {PROPOSAL_CAP}, the proposal cap "
+            f"(got {depth * width + 1})")
 
     atoms = [{"id": "base", "question": "q0", "level": 0}]
     truth_rules = [{"atom": "base", "condition": {"const": True}}]

@@ -300,11 +300,15 @@ EXIT_CODE_CASES = [
                  "level 1001 above 1000", id="level-above-max"),
     pytest.param(_on_text("explore", _t3_with(_set("atoms", 3, "level", 1000))), 0,
                  "", id="level-at-max"),
-    pytest.param(["validate", "cascade:65,1,0"], 2, "depth must be at most 64",
-                 id="cascade-too-deep"),
-    pytest.param(["validate", "cascade:1,65,0"], 2, "width at most 64",
-                 id="cascade-too-wide"),
-    pytest.param(["validate", "cascade:64,1,0"], 0, "", id="cascade-at-max"),
+    pytest.param(["validate", "cascade:65,1,0"], 2,
+                 "depth*width + 1 must be at most 64", id="cascade-too-deep"),
+    pytest.param(["validate", "cascade:1,65,0"], 2,
+                 "depth*width + 1 must be at most 64", id="cascade-too-wide"),
+    # the root proposes depth*width + 1 atoms, which the proposal cap bounds
+    pytest.param(["validate", "cascade:64,1,0"], 2, "(got 65)",
+                 id="cascade-past-proposal-cap"),
+    pytest.param(["validate", "cascade:63,1,0"], 0, "", id="cascade-at-max"),
+    pytest.param(["run", "cascade:21,3,0"], 0, "", id="cascade-product-at-max"),
 ]
 
 

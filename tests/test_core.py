@@ -34,6 +34,25 @@ class TestUniverse:
             indexed |= ids
         assert indexed == all_ids
 
+    def test_atoms_is_a_fresh_sorted_list(self, t3_universe):
+        atoms = t3_universe.atoms()
+        assert [a.id for a in atoms] == ["a0", "b1", "b1'", "c2"]
+        atoms.clear()
+        assert len(t3_universe.atoms()) == 4
+
+    def test_bits_one_per_atom(self, t3_universe):
+        assert t3_universe.bits([]) == 0
+        assert t3_universe.bits(["a0", "b1"]) == 0b11
+        assert t3_universe.bits(fs("c2", "b1'")) == 0b1100
+        with pytest.raises(UnknownAtom):
+            t3_universe.bits(fs("a0", "nope"))
+
+    def test_level_masks_cover_every_integer_level(self):
+        universe = AtomUniverse([Atom("x", "qx", 0), Atom("y", "qy", 3)])
+        assert universe.max_level() == 3
+        assert universe.at_level == (0b01, 0, 0, 0b10, 0)
+        assert AtomUniverse([]).at_level == (0, 0)
+
     def test_question_level(self, t3_universe):
         assert [t3_universe.question_level(q) for q in ("q0", "q1", "q2")] == [0, 1, 2]
         with pytest.raises(UnknownQuestion):
@@ -147,3 +166,10 @@ def test_restrict_and_query_outputs_are_states(pair, n):
         assert is_state(level_restrict(X, cmp, n, universe), universe)
     for q in universe.question_index:
         assert is_state(query(q, X, universe), universe)
+
+
+@given(universe_and_state(), st.integers(0, 5))
+def test_level_masks_match_restriction(pair, n):
+    universe, X = pair
+    at = universe.at_level[n] if n < len(universe.at_level) else 0
+    assert universe.bits(X) & at == universe.bits(level_restrict(X, "at", n, universe))

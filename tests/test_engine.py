@@ -248,6 +248,17 @@ class TestExploreTree:
         assert len(tree.normal_forms) == 1
         assert tree.check_failures == []
 
+    def test_cascade_12_3_with_lemmas(self):
+        # 234,881,024 root paths over 50 states, far past the CLI's
+        # default node budget
+        inst = load_instance(gen_cascade(12, 3, 0))
+        tree = explore_tree(fs(), inst.realizer, inst.valuation,
+                            max_nodes=10**12)
+        assert tree.node_count == 234_881_024
+        assert tree.distinct_state_count == 50
+        assert len(tree.normal_forms) == 1
+        assert tree.check_failures == []
+
     def test_run_traces_are_tree_paths(self, t3):
         tree = explore_tree(fs(), t3.realizer, t3.valuation)
         edges = set(tree.edges)

@@ -133,6 +133,46 @@ def test_any_json_value_loads_or_raises_instance_error(data):
         pass
 
 
+# documents built in Python, which `from_dict` never checks: the other
+# fields are well-typed, and any node of a condition may be any JSON value
+_ANY_CONDITION = _CONDITIONS | st.dictionaries(
+    st.sampled_from(["const", "present", "answered", "not", "and", "or"]),
+    _JSON, min_size=1, max_size=2)
+_PYTHON_DOCUMENTS = st.builds(
+    InstanceDoc,
+    atoms=st.lists(st.fixed_dictionaries(
+        {"id": _IDS, "question": st.sampled_from(["q0", "q1"]),
+         "level": st.integers(-1, 2)}), max_size=4),
+    truth_rules=st.lists(st.fixed_dictionaries(
+        {"atom": _IDS, "condition": _ANY_CONDITION}), max_size=3),
+    realizer_rules=st.lists(st.fixed_dictionaries(
+        {"condition": _ANY_CONDITION, "propose": st.lists(_IDS, max_size=2)}),
+        max_size=3),
+    initial=st.lists(_IDS, max_size=2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PYTHON_DOCUMENTS)
+def test_python_built_document_loads_or_raises_instance_error(doc):
+    try:
+        load_instance(doc)
+    except InstanceError:
+        pass
+
+
+@pytest.mark.parametrize("condition, message", [
+    ({"and": "xy"}, "and takes a list"),
+    (["x"], "single-key object"),
+    ({"not": None}, "single-key object"),
+    ({"present": ["a0"]}, "present takes an id string"),
+])
+def test_python_built_bad_condition_is_a_schema_error(condition, message):
+    doc = builtin_t3()
+    doc.realizer_rules[0]["condition"] = condition
+    with pytest.raises(SchemaError, match=message):
+        load_instance(doc)
+
+
 class TestT3Dynamics:
     def test_unique_normal_form(self):
         inst = load_instance(builtin_t3())
