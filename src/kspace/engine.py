@@ -256,9 +256,12 @@ def apply_step(universe: AtomUniverse, members: State, chosen: State) -> State:
     kept = level_restrict(members, "at_or_below", n, universe)
     questions = {universe.atom(a).question for a in kept}
     for atom_id in chosen:
-        if universe.atom(atom_id).question in questions:
+        question = universe.atom(atom_id).question
+        if question in questions:
             raise QuestionConflict(
-                f"atom {atom_id!r} answers a question the state already answers")
+                f"atom {atom_id!r} answers question {question!r}, which the "
+                f"kept state or another chosen atom already answers")
+        questions.add(question)
     return kept | chosen
 
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import Callable, NoReturn, Optional
+from itertools import compress
+from typing import Callable, Iterable, NoReturn, Optional
 
 from .core import (
     Atom,
@@ -188,34 +189,55 @@ class InstanceDoc:
                 f"top-level keys must be exactly {sorted(_DOC_KEYS)}, "
                 f"got {sorted(data)}")
         for key in ("atoms", "truth_rules", "realizer_rules"):
-            if not isinstance(data[key], list):
-                raise SchemaError(f"{key} must be a list, got {data[key]!r}")
+            _require_list(data[key], key)
         for atom in data["atoms"]:
-            if not isinstance(atom, dict) or not set(atom) <= _ATOM_KEYS:
-                raise SchemaError(f"bad atom entry {atom!r}")
-            if not {"id", "question", "level"} <= set(atom):
-                raise SchemaError(f"atom entry missing fields: {atom!r}")
-            if not (isinstance(atom["id"], str) and isinstance(atom["question"], str)):
-                raise SchemaError(f"atom id and question must be strings: {atom!r}")
-            # bool is a subclass of int, but true is not a level
-            if not isinstance(atom["level"], int) or isinstance(atom["level"], bool):
-                raise SchemaError(f"atom level must be an integer: {atom!r}")
-            if not isinstance(atom.get("label", ""), str):
-                raise SchemaError(f"atom label must be a string: {atom!r}")
+            _check_atom(atom)
         for rule in data["truth_rules"]:
-            if not isinstance(rule, dict) or set(rule) != {"atom", "condition"}:
-                raise SchemaError(f"bad truth rule {rule!r}")
-            if not isinstance(rule["atom"], str):
-                raise SchemaError(f"truth rule atom must be an id string: {rule!r}")
+            _check_truth_rule(rule)
             validate_expr(rule["condition"])
         for rule in data["realizer_rules"]:
-            if not isinstance(rule, dict) or set(rule) != {"condition", "propose"}:
-                raise SchemaError(f"bad realizer rule {rule!r}")
+            _check_realizer_rule(rule)
             validate_expr(rule["condition"])
             _require_ids(rule["propose"], "propose")
         _require_ids(data["initial"], "initial")
         return cls(atoms=data["atoms"], truth_rules=data["truth_rules"],
                    realizer_rules=data["realizer_rules"], initial=data["initial"])
+
+
+# Field checks shared by `from_dict` and `load_instance`, which a document
+# built in Python reaches without `from_dict`.
+
+def _require_list(value, key: str) -> None:
+    if not isinstance(value, list):
+        raise SchemaError(f"{key} must be a list, got {value!r}")
+
+
+def _check_atom(atom) -> None:
+    if not isinstance(atom, dict) or not _ATOM_KEYS.issuperset(atom):
+        raise SchemaError(f"bad atom entry {atom!r}")
+    if not ("id" in atom and "question" in atom and "level" in atom):
+        raise SchemaError(f"atom entry missing fields: {atom!r}")
+    if not (isinstance(atom["id"], str) and isinstance(atom["question"], str)):
+        raise SchemaError(f"atom id and question must be strings: {atom!r}")
+    # bool is a subclass of int, but true is not a level
+    if not isinstance(atom["level"], int) or isinstance(atom["level"], bool):
+        raise SchemaError(f"atom level must be an integer: {atom!r}")
+    if not isinstance(atom.get("label", ""), str):
+        raise SchemaError(f"atom label must be a string: {atom!r}")
+
+
+def _check_truth_rule(rule) -> None:
+    if not (isinstance(rule, dict) and len(rule) == 2
+            and "atom" in rule and "condition" in rule):
+        raise SchemaError(f"bad truth rule {rule!r}")
+    if not isinstance(rule["atom"], str):
+        raise SchemaError(f"truth rule atom must be an id string: {rule!r}")
+
+
+def _check_realizer_rule(rule) -> None:
+    if not (isinstance(rule, dict) and len(rule) == 2
+            and "condition" in rule and "propose" in rule):
+        raise SchemaError(f"bad realizer rule {rule!r}")
 
 
 def _require_ids(value, what: str) -> None:
@@ -243,28 +265,82 @@ def _rule_valuation(universe: AtomUniverse, rules: dict[str, Condition]) -> Valu
 
 
 def _rule_realizer(universe: AtomUniverse,
-                   rules: list[tuple[Condition, list[str]]]) -> Realizer:
+                   rules: list[tuple[Condition, list[str], set[str], set[str]]]
+                   ) -> Realizer:
+    """The realizer of a document's rules, each given as its condition, its
+    proposals and the atom and question ids its condition reads: the union
+    of the proposals of the rules whose conditions hold.
+
+    A call diffs its state against the last state realized and evaluates
+    only the rules that read a changed atom or the question of one; every
+    other rule reads the same ids in both states and keeps its verdict.
+    The first call evaluates every rule.
+    """
+    conds = [cond for cond, _, _, _ in rules]
+    proposals = [ids for _, ids, _, _ in rules]
+    # atom id -> the numbers of the rules that read the atom (`by_atom`),
+    # or the question it answers (`by_answer`)
+    by_atom: dict[str, list[int]] = {}
+    by_question: dict[str, list[int]] = {}
+    for i, (_, _, atoms, questions) in enumerate(rules):
+        for atom_id in atoms:
+            by_atom.setdefault(atom_id, []).append(i)
+        for question in questions:
+            by_question.setdefault(question, []).append(i)
+    by_answer = {atom_id: readers for question, readers in by_question.items()
+                 for atom_id in universe.question_atoms(question)}
+    # the last state realized and each rule's verdict on it
+    memo: Optional[tuple[State, list[bool]]] = None
+
     def propose(view: StateView) -> set[str]:
+        nonlocal memo
+        # a view may hold a mutable set, which the memo must not share
+        members = frozenset(view.members())
+        if memo is None:
+            stale: Iterable[int] = range(len(conds))
+            verdicts = [False] * len(conds)
+        else:
+            last, verdicts = memo
+            touched: set[int] = set()
+            for atom_id in last ^ members:
+                touched.update(by_atom.get(atom_id, ()))
+                touched.update(by_answer.get(atom_id, ()))
+            stale = sorted(touched)
+            verdicts = verdicts.copy()
+        for i in stale:
+            verdicts[i] = eval_expr(conds[i], view)
+        # committed only after every evaluation has returned, so a call
+        # that raises leaves the memo as it was
+        memo = members, verdicts
         out: set[str] = set()
-        for cond, ids in rules:
-            if eval_expr(cond, view):
-                out.update(ids)
+        for ids in compress(proposals, verdicts):
+            out.update(ids)
         return out
     return Realizer(universe, propose)
 
 
 def load_instance(doc: InstanceDoc) -> LoadedInstance:
     """Validate a document, compile its conditions and build its universe,
-    valuation and realizer."""
+    valuation and realizer.
+
+    Every field is type-checked as `from_dict` checks it, with its
+    messages, so a document built in Python is rejected as a JSON one is.
+    """
+    _require_list(doc.atoms, "atoms")
+    listed = []
+    for entry in doc.atoms:
+        _check_atom(entry)
+        listed.append(Atom(entry["id"], entry["question"], entry["level"],
+                           entry.get("label")))
     try:
-        universe = AtomUniverse(
-            Atom(a["id"], a["question"], a["level"], a.get("label"))
-            for a in doc.atoms)
+        universe = AtomUniverse(listed)
     except InvalidState as exc:
         raise SchemaError(str(exc)) from None
 
+    _require_list(doc.truth_rules, "truth_rules")
     truth_exprs: dict[str, dict] = {}
     for rule in doc.truth_rules:
+        _check_truth_rule(rule)
         atom_id = rule["atom"]
         if atom_id not in universe:
             raise UnknownReference(f"truth rule for unknown atom {atom_id!r}")
@@ -272,7 +348,9 @@ def load_instance(doc: InstanceDoc) -> LoadedInstance:
             raise DuplicateTruthRule(f"two truth rules for atom {atom_id!r}")
         truth_exprs[atom_id] = rule["condition"]
 
-    def compile_checked(expr, where: str, level_cap: Optional[int]) -> Condition:
+    def compile_checked(expr, where: str, level_cap: Optional[int]
+                        ) -> tuple[Condition, set[str], set[str]]:
+        """The compiled condition and the atom and question ids it reads."""
         atoms: set[str] = set()
         questions: set[str] = set()
         cond = compile_expr(expr, atoms, questions)
@@ -292,21 +370,25 @@ def load_instance(doc: InstanceDoc) -> LoadedInstance:
                 raise LevelMaskViolation(
                     f"{where} references question {ref!r} at level "
                     f"{level}, at or above its own level {level_cap}")
-        return cond
+        return cond, atoms, questions
 
     truth_rules = {
         atom_id: compile_checked(expr, f"truth rule for {atom_id!r}",
-                                 universe.level(atom_id))
+                                 universe.level(atom_id))[0]
         for atom_id, expr in truth_exprs.items()}
+    _require_list(doc.realizer_rules, "realizer_rules")
     realizer_rules = []
     for i, rule in enumerate(doc.realizer_rules):
-        cond = compile_checked(rule["condition"], f"realizer rule {i}", None)
+        _check_realizer_rule(rule)
+        cond, reads, asks = compile_checked(rule["condition"], f"realizer rule {i}", None)
+        _require_ids(rule["propose"], "propose")
         for ref in rule["propose"]:
             if ref not in universe:
                 raise UnknownReference(
                     f"realizer rule {i} proposes unknown atom {ref!r}")
-        realizer_rules.append((cond, rule["propose"]))
+        realizer_rules.append((cond, rule["propose"], reads, asks))
 
+    _require_ids(doc.initial, "initial")
     for atom_id in doc.initial:
         if atom_id not in universe:
             raise UnknownReference(f"initial state names unknown atom {atom_id!r}")

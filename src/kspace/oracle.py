@@ -81,6 +81,15 @@ class StateView:
     def answered(self, question: str) -> bool:
         return bool(self.query(question))
 
+    def members(self) -> State:
+        """The whole state.  Only an unmasked view gives it out: a masked
+        view raises MaskViolation, as a query at or above its cap does."""
+        if self._level_cap is not None:
+            raise MaskViolation(
+                f"the whole state is not visible through the mask at cap "
+                f"{self._level_cap}")
+        return self._members
+
 
 class Valuation:
     """Truth procedure over (atom, masked state view)."""

@@ -1,10 +1,15 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kspace
 from kspace import engine
 from kspace.cli import main
 from kspace.instances import (
@@ -117,6 +122,16 @@ class TestValidate:
         path.write_text(builtin_t3().to_json())
         code, _, _ = invoke(capsys, "validate", str(path))
         assert code == 0
+
+    def test_python_dash_m_runs_the_cli(self, capsys):
+        _, want, _ = invoke(capsys, "validate", "t3")
+        src = str(Path(kspace.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "kspace", "validate", "t3"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == want
 
 
 class TestRun:

@@ -144,6 +144,11 @@ class TestApplyStep:
         with pytest.raises(QuestionConflict):
             apply_step(t3_universe, fs("b1"), fs("b1'"))
 
+    def test_chosen_atoms_answering_one_question_conflict(self, t3_universe):
+        # b1 and b1' both answer q1: their union is not a state
+        with pytest.raises(QuestionConflict):
+            apply_step(t3_universe, fs("a0"), fs("b1", "b1'"))
+
 
 class TestStep:
     def test_basic(self, t3):

@@ -110,18 +110,26 @@ _CONDITIONS = st.recursive(
                                   st.fixed_dictionaries({"and": st.lists(sub, max_size=3)}),
                                   st.fixed_dictionaries({"or": st.lists(sub, max_size=3)}))),
     max_leaves=6)
-_DOCUMENTS = st.fixed_dictionaries({
-    "atoms": _or_any(st.lists(_or_any(st.fixed_dictionaries(
-        {"id": _or_any(_IDS), "question": _or_any(st.sampled_from(["q0", "q1"])),
-         "level": _or_any(st.integers(-1, 2))},
-        optional={"label": _or_any(st.just("text"))})), max_size=4)),
-    "truth_rules": _or_any(st.lists(_or_any(st.fixed_dictionaries(
-        {"atom": _or_any(_IDS), "condition": _CONDITIONS})), max_size=3)),
-    "realizer_rules": _or_any(st.lists(_or_any(st.fixed_dictionaries(
-        {"condition": _CONDITIONS, "propose": _or_any(st.lists(_or_any(_IDS), max_size=2))})),
-        max_size=3)),
-    "initial": _or_any(st.lists(_or_any(_IDS), max_size=2)),
-})
+
+
+def _document_fields(conditions):
+    """A strategy per document field, each field mostly well-formed."""
+    return {
+        "atoms": _or_any(st.lists(_or_any(st.fixed_dictionaries(
+            {"id": _or_any(_IDS), "question": _or_any(st.sampled_from(["q0", "q1"])),
+             "level": _or_any(st.integers(-1, 2))},
+            optional={"label": _or_any(st.just("text"))})), max_size=4)),
+        "truth_rules": _or_any(st.lists(_or_any(st.fixed_dictionaries(
+            {"atom": _or_any(_IDS), "condition": conditions})), max_size=3)),
+        "realizer_rules": _or_any(st.lists(_or_any(st.fixed_dictionaries(
+            {"condition": conditions,
+             "propose": _or_any(st.lists(_or_any(_IDS), max_size=2))})),
+            max_size=3)),
+        "initial": _or_any(st.lists(_or_any(_IDS), max_size=2)),
+    }
+
+
+_DOCUMENTS = st.fixed_dictionaries(_document_fields(_CONDITIONS))
 
 
 @settings(max_examples=300, deadline=None)
@@ -133,22 +141,12 @@ def test_any_json_value_loads_or_raises_instance_error(data):
         pass
 
 
-# documents built in Python, which `from_dict` never checks: the other
-# fields are well-typed, and any node of a condition may be any JSON value
+# documents built in Python, which `from_dict` never checks: any field,
+# and any node of a condition, may be any JSON value
 _ANY_CONDITION = _CONDITIONS | st.dictionaries(
     st.sampled_from(["const", "present", "answered", "not", "and", "or"]),
     _JSON, min_size=1, max_size=2)
-_PYTHON_DOCUMENTS = st.builds(
-    InstanceDoc,
-    atoms=st.lists(st.fixed_dictionaries(
-        {"id": _IDS, "question": st.sampled_from(["q0", "q1"]),
-         "level": st.integers(-1, 2)}), max_size=4),
-    truth_rules=st.lists(st.fixed_dictionaries(
-        {"atom": _IDS, "condition": _ANY_CONDITION}), max_size=3),
-    realizer_rules=st.lists(st.fixed_dictionaries(
-        {"condition": _ANY_CONDITION, "propose": st.lists(_IDS, max_size=2)}),
-        max_size=3),
-    initial=st.lists(_IDS, max_size=2))
+_PYTHON_DOCUMENTS = st.builds(InstanceDoc, **_document_fields(_ANY_CONDITION))
 
 
 @settings(max_examples=300, deadline=None)
@@ -158,6 +156,34 @@ def test_python_built_document_loads_or_raises_instance_error(doc):
         load_instance(doc)
     except InstanceError:
         pass
+
+
+def _t3_with(edit):
+    doc = builtin_t3()
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_t3_with(lambda d: setattr(d, "atoms", [1])), "bad atom entry"),
+    (_t3_with(lambda d: setattr(d, "initial", [["a0"]])), "initial must be a list"),
+    (_t3_with(lambda d: d.truth_rules[0].update(atom=["a0"])),
+     "truth rule atom must be an id string"),
+    (_t3_with(lambda d: d.atoms[0].update(level="0")), "atom level must be an integer"),
+    (_t3_with(lambda d: d.realizer_rules.__setitem__(0, ["x"])), "bad realizer rule"),
+    (_t3_with(lambda d: d.realizer_rules[0].update(propose="a0")),
+     "propose must be a list"),
+    # "a0" read as a list of characters would propose atoms "a" and "0"
+    (_t3_with(lambda d: (d.atoms.extend([{"id": "a", "question": "qa", "level": 0},
+                                         {"id": "0", "question": "q_0", "level": 0}]),
+                         d.realizer_rules[0].update(propose="a0"))),
+     "propose must be a list"),
+    (_t3_with(lambda d: setattr(d, "truth_rules", {"atom": "a0"})),
+     "truth_rules must be a list"),
+])
+def test_python_built_bad_field_is_a_schema_error(doc, message):
+    with pytest.raises(SchemaError, match=message):
+        load_instance(doc)
 
 
 @pytest.mark.parametrize("condition, message", [

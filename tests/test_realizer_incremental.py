@@ -1,0 +1,153 @@
+"""The realizer `load_instance` builds, which re-evaluates only the rules
+that read an atom (or the question of an atom) that changed since the
+last state it realized, against the memo-free reference realizer: the
+same raw proposals and `realize` results, in filter and strict modes,
+whatever order the states come in."""
+
+import contextlib
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from kspace.engine import STRATEGY_NAMES, FuelExhausted, explore_tree, make_strategy, run
+from kspace.instances import builtin_t3, gen_cascade, gen_random, load_instance
+from kspace.oracle import ContractViolation, MaskViolation, StateView, realize
+
+from reference_conditions import reference_realizer
+from test_acceptance import _fuzz_params
+from test_strategy_differential import LAYERED, layered_doc
+
+# (id, document, fuel for `run`, whether to explore it)
+CASES = [("t3", builtin_t3(), 10, True)]
+CASES += [(f"cascade:{k},{w},{s}", gen_cascade(k, w, s), 200, True)
+          for k in range(1, 5) for w in (1, 2) for s in range(3)]
+CASES += [(f"fuzz:{seed}", gen_random(*_fuzz_params(seed), seed),
+           10 * (_fuzz_params(seed)[0] + 1), True)
+          for seed in range(200)]
+# thousands of candidates per state: run traces only
+CASES += [(f"layered:{q},{t},{f},{s}", layered_doc(3, q, t, f, s), 1000, False)
+          for q, t, f in LAYERED for s in range(2)]
+
+
+def _realized(realizer, valuation, state, mode):
+    try:
+        return realize(realizer, valuation, state, mode=mode)
+    except ContractViolation as exc:
+        return ("violation", exc.atom_id, exc.clause)
+
+
+def _assert_agrees(inst, ref, state):
+    view = StateView(inst.universe, state)
+    assert inst.realizer.propose(view) == ref.propose(view), sorted(state)
+    for mode in ("filter", "strict"):
+        assert (_realized(inst.realizer, inst.valuation, state, mode)
+                == _realized(ref, inst.valuation, state, mode)), (sorted(state), mode)
+
+
+def _trace_states(inst, ref, name, fuel):
+    try:
+        trace, final = run(inst.initial, ref, inst.valuation,
+                           make_strategy(name, seed=1), fuel)
+    except FuelExhausted as exc:
+        trace, final = exc.trace, exc.final
+    return [edge.source for edge in trace] + [final]
+
+
+@pytest.mark.parametrize("doc, fuel, explore",
+                         [(doc, fuel, explore) for _, doc, fuel, explore in CASES],
+                         ids=[name for name, _, _, _ in CASES])
+def test_matches_reference(doc, fuel, explore):
+    inst = load_instance(doc)
+    ref = reference_realizer(inst.universe, doc)
+    for name in STRATEGY_NAMES:
+        for state in _trace_states(inst, ref, name, fuel):
+            _assert_agrees(inst, ref, state)
+    if not explore:
+        return
+    states = explore_tree(inst.initial, ref, inst.valuation, check_lemmas=False,
+                          fuel_depth=fuel, max_nodes=300_000).states
+    shuffled = states.copy()
+    random.Random(0).shuffle(shuffled)
+    for order in (states, states[::-1], shuffled):
+        for state in order:
+            _assert_agrees(inst, ref, state)
+            _assert_agrees(inst, ref, state)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 4), st.integers(0, 24),
+       st.integers(0, 2 ** 32), st.data())
+def test_any_state_sequence_matches_reference(n_atoms, max_level, n_rules, seed, data):
+    doc = gen_random(n_atoms, max_level, n_rules, seed)
+    inst = load_instance(doc)
+    ref = reference_realizer(inst.universe, doc)
+    questions = sorted(inst.universe.question_index.items())
+    for _ in range(data.draw(st.integers(1, 8))):
+        state = set()
+        for _, ids in questions:
+            # at most one atom per question: a valid state
+            pick = data.draw(st.integers(0, len(ids)))
+            if pick:
+                state.add(sorted(ids)[pick - 1])
+        _assert_agrees(inst, ref, frozenset(state))
+
+
+def _t3_states():
+    inst = load_instance(builtin_t3())
+    return explore_tree(inst.initial, inst.realizer, inst.valuation).states
+
+
+def test_masked_view_raises_and_leaves_the_memo_valid():
+    doc = builtin_t3()
+    states = _t3_states()
+    for before in states:
+        for masked in states:
+            for after in states:
+                inst = load_instance(doc)
+                ref = reference_realizer(inst.universe, doc)
+                _assert_agrees(inst, ref, before)
+                with pytest.raises(MaskViolation):
+                    inst.realizer.propose(StateView(inst.universe, masked, level_cap=0))
+                _assert_agrees(inst, ref, after)
+
+
+class _Injected(Exception):
+    pass
+
+
+class _FailingView(StateView):
+    """An unmasked view whose queries raise after `budget` answers: a rule
+    evaluation that fails partway through a call."""
+
+    def __init__(self, universe, members, budget):
+        super().__init__(universe, members)
+        self.budget = budget
+
+    def _spend(self):
+        if self.budget == 0:
+            raise _Injected
+        self.budget -= 1
+
+    def present(self, atom_id):
+        self._spend()
+        return super().present(atom_id)
+
+    def answered(self, question):
+        self._spend()
+        return super().answered(question)
+
+
+@pytest.mark.parametrize("budget", range(4))
+def test_failed_evaluation_leaves_the_memo_valid(budget):
+    doc = builtin_t3()
+    states = _t3_states()
+    for before in states:
+        for failed in states:
+            for after in states:
+                inst = load_instance(doc)
+                ref = reference_realizer(inst.universe, doc)
+                _assert_agrees(inst, ref, before)
+                with contextlib.suppress(_Injected):
+                    inst.realizer.propose(_FailingView(inst.universe, failed, budget))
+                _assert_agrees(inst, ref, after)
