@@ -12,7 +12,7 @@ import json
 import random
 from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, Iterable, NoReturn, Optional
+from typing import Callable, Iterable, Optional
 
 from .core import (
     Atom,
@@ -58,17 +58,23 @@ class UnsoundInitial(InstanceError):
 # boolean conditions
 
 #: Deepest condition accepted, counting one level per nested object.  The
-#: generators write at most a handful; the bound keeps validating,
-#: compiling and evaluating a condition far from the interpreter's
-#: recursion limit.
+#: generators write at most a handful; the bound keeps compiling and
+#: evaluating a condition far from the interpreter's recursion limit.
 MAX_CONDITION_DEPTH = 100
 
 #: A compiled condition: a function of a (masked) state view.
 Condition = Callable[[StateView], bool]
 
 
-def validate_expr(expr, depth: int = 1) -> None:
-    """Raise SchemaError unless `expr` is a well-formed condition."""
+def compile_expr(expr, atoms: set[str], questions: set[str],
+                 depth: int = 1) -> Condition:
+    """Compile a condition into a function of a state view, adding the atom
+    and question ids it references to `atoms` and `questions`.
+
+    Raises SchemaError at the first malformed node, in document order.  The
+    compiled function evaluates sub-conditions in document order and stops
+    at the first that decides an "and" or "or".
+    """
     if depth > MAX_CONDITION_DEPTH:
         raise SchemaError(
             f"condition nested more than {MAX_CONDITION_DEPTH} levels deep")
@@ -78,47 +84,24 @@ def validate_expr(expr, depth: int = 1) -> None:
     if key == "const":
         if not isinstance(value, bool):
             raise SchemaError("const takes a boolean")
-    elif key in ("present", "answered"):
+        return lambda view: value
+    if key in ("present", "answered"):
         if not isinstance(value, str):
             raise SchemaError(f"{key} takes an id string")
-    elif key == "not":
-        validate_expr(value, depth + 1)
-    elif key in ("and", "or"):
-        if not isinstance(value, list):
-            raise SchemaError(f"{key} takes a list of conditions")
-        for sub in value:
-            validate_expr(sub, depth + 1)
-    else:
-        raise SchemaError(f"unknown condition key {key!r}")
-
-
-def compile_expr(expr, atoms: set[str], questions: set[str],
-                 depth: int = 1) -> Condition:
-    """Compile a condition into a function of a state view, adding the atom
-    and question ids it references to `atoms` and `questions`.
-
-    Each node gets the checks `validate_expr` gives it, and a node that
-    fails them raises the same SchemaError, so a document built in Python,
-    which `from_dict` never saw, is rejected too.  The compiled function
-    evaluates sub-conditions in document order and stops at the first that
-    decides an "and" or "or".
-    """
-    if depth > MAX_CONDITION_DEPTH or not isinstance(expr, dict) or len(expr) != 1:
-        _reject(expr, depth)
-    ((key, value),) = expr.items()
-    if key == "const" and isinstance(value, bool):
-        return lambda view: value
-    if key == "present" and isinstance(value, str):
-        atoms.add(value)
-        return lambda view: view.present(value)
-    if key == "answered" and isinstance(value, str):
+        if key == "present":
+            atoms.add(value)
+            return lambda view: view.present(value)
         questions.add(value)
         return lambda view: view.answered(value)
     if key == "not":
         inner = compile_expr(value, atoms, questions, depth + 1)
         return lambda view: not inner(view)
-    if key not in ("and", "or") or not isinstance(value, list):
-        _reject(expr, depth)
+    if key not in ("and", "or"):
+        raise SchemaError(f"unknown condition key {key!r}")
+    if not isinstance(value, list):
+        raise SchemaError(f"{key} takes a list of conditions")
+    # a loop, not a comprehension: on Python 3.11 a comprehension is one
+    # more frame per node, which load time shows
     subs = []
     for sub in value:
         subs.append(compile_expr(sub, atoms, questions, depth + 1))
@@ -136,13 +119,6 @@ def compile_expr(expr, atoms: set[str], questions: set[str],
                 return True
         return False
     return disjunction
-
-
-def _reject(expr, depth: int) -> NoReturn:
-    """Raise the SchemaError `validate_expr` raises for a node that is
-    malformed in itself."""
-    validate_expr(expr, depth)
-    raise AssertionError(f"validate_expr accepted {expr!r}")
 
 
 def eval_expr(cond: Condition, view: StateView) -> bool:
@@ -182,30 +158,19 @@ class InstanceDoc:
 
     @classmethod
     def from_dict(cls, data) -> "InstanceDoc":
+        """The document a parsed JSON value holds.  Only the top-level keys
+        are checked here; `load_instance` checks every field."""
         if not isinstance(data, dict):
             raise SchemaError("document must be a JSON object")
         if set(data) != _DOC_KEYS:
             raise SchemaError(
                 f"top-level keys must be exactly {sorted(_DOC_KEYS)}, "
                 f"got {sorted(data)}")
-        for key in ("atoms", "truth_rules", "realizer_rules"):
-            _require_list(data[key], key)
-        for atom in data["atoms"]:
-            _check_atom(atom)
-        for rule in data["truth_rules"]:
-            _check_truth_rule(rule)
-            validate_expr(rule["condition"])
-        for rule in data["realizer_rules"]:
-            _check_realizer_rule(rule)
-            validate_expr(rule["condition"])
-            _require_ids(rule["propose"], "propose")
-        _require_ids(data["initial"], "initial")
-        return cls(atoms=data["atoms"], truth_rules=data["truth_rules"],
-                   realizer_rules=data["realizer_rules"], initial=data["initial"])
+        return cls(**data)
 
 
-# Field checks shared by `from_dict` and `load_instance`, which a document
-# built in Python reaches without `from_dict`.
+# Field checks `load_instance` runs on every document, parsed or built in
+# Python.
 
 def _require_list(value, key: str) -> None:
     if not isinstance(value, list):
@@ -319,76 +284,88 @@ def _rule_realizer(universe: AtomUniverse,
     return Realizer(universe, propose)
 
 
+def _compiled(expr) -> tuple[Condition, set[str], set[str]]:
+    """A condition compiled, with the atom and question ids it reads."""
+    atoms: set[str] = set()
+    questions: set[str] = set()
+    return compile_expr(expr, atoms, questions), atoms, questions
+
+
+def _check_reads(universe: AtomUniverse, where: str, atoms: set[str],
+                 questions: set[str], level_cap: Optional[int]) -> None:
+    """Raise unless every atom and question a condition reads exists and,
+    under a level cap, lies strictly below it."""
+    for ref in sorted(atoms):
+        if ref not in universe:
+            raise UnknownReference(f"{where} references unknown atom {ref!r}")
+        level = universe.level(ref)
+        if level_cap is not None and level >= level_cap:
+            raise LevelMaskViolation(
+                f"{where} references atom {ref!r} at level "
+                f"{level}, at or above its own level {level_cap}")
+    for ref in sorted(questions):
+        if ref not in universe.question_index:
+            raise UnknownReference(f"{where} references unknown question {ref!r}")
+        level = universe.question_level(ref)
+        if level_cap is not None and level >= level_cap:
+            raise LevelMaskViolation(
+                f"{where} references question {ref!r} at level "
+                f"{level}, at or above its own level {level_cap}")
+
+
 def load_instance(doc: InstanceDoc) -> LoadedInstance:
-    """Validate a document, compile its conditions and build its universe,
+    """Check a document, compile its conditions and build its universe,
     valuation and realizer.
 
-    Every field is type-checked as `from_dict` checks it, with its
-    messages, so a document built in Python is rejected as a JSON one is.
+    This is the only place a document is checked, whether it was parsed
+    from JSON or built in Python, and each condition is walked once.  The
+    shape of every field comes first, field by field in document order,
+    with each condition checked as it is compiled.  The checks that need
+    the universe follow: unknown ids, duplicate truth rules, the level
+    mask, the initial state and its soundness.
     """
-    _require_list(doc.atoms, "atoms")
+    for key in ("atoms", "truth_rules", "realizer_rules"):
+        _require_list(getattr(doc, key), key)
     listed = []
     for entry in doc.atoms:
         _check_atom(entry)
         listed.append(Atom(entry["id"], entry["question"], entry["level"],
                            entry.get("label")))
+    # (atom id, condition, atom ids read, question ids read)
+    truth: list[tuple[str, Condition, set[str], set[str]]] = []
+    for rule in doc.truth_rules:
+        _check_truth_rule(rule)
+        truth.append((rule["atom"], *_compiled(rule["condition"])))
+    # (condition, proposals, atom ids read, question ids read)
+    realizer_rules: list[tuple[Condition, list[str], set[str], set[str]]] = []
+    for rule in doc.realizer_rules:
+        _check_realizer_rule(rule)
+        cond, atoms, questions = _compiled(rule["condition"])
+        _require_ids(rule["propose"], "propose")
+        realizer_rules.append((cond, rule["propose"], atoms, questions))
+    _require_ids(doc.initial, "initial")
+
     try:
         universe = AtomUniverse(listed)
     except InvalidState as exc:
         raise SchemaError(str(exc)) from None
-
-    _require_list(doc.truth_rules, "truth_rules")
-    truth_exprs: dict[str, dict] = {}
-    for rule in doc.truth_rules:
-        _check_truth_rule(rule)
-        atom_id = rule["atom"]
+    truth_rules: dict[str, Condition] = {}
+    for atom_id, cond, _, _ in truth:
         if atom_id not in universe:
             raise UnknownReference(f"truth rule for unknown atom {atom_id!r}")
-        if atom_id in truth_exprs:
+        if atom_id in truth_rules:
             raise DuplicateTruthRule(f"two truth rules for atom {atom_id!r}")
-        truth_exprs[atom_id] = rule["condition"]
-
-    def compile_checked(expr, where: str, level_cap: Optional[int]
-                        ) -> tuple[Condition, set[str], set[str]]:
-        """The compiled condition and the atom and question ids it reads."""
-        atoms: set[str] = set()
-        questions: set[str] = set()
-        cond = compile_expr(expr, atoms, questions)
-        for ref in sorted(atoms):
-            if ref not in universe:
-                raise UnknownReference(f"{where} references unknown atom {ref!r}")
-            level = universe.level(ref)
-            if level_cap is not None and level >= level_cap:
-                raise LevelMaskViolation(
-                    f"{where} references atom {ref!r} at level "
-                    f"{level}, at or above its own level {level_cap}")
-        for ref in sorted(questions):
-            if ref not in universe.question_index:
-                raise UnknownReference(f"{where} references unknown question {ref!r}")
-            level = universe.question_level(ref)
-            if level_cap is not None and level >= level_cap:
-                raise LevelMaskViolation(
-                    f"{where} references question {ref!r} at level "
-                    f"{level}, at or above its own level {level_cap}")
-        return cond, atoms, questions
-
-    truth_rules = {
-        atom_id: compile_checked(expr, f"truth rule for {atom_id!r}",
-                                 universe.level(atom_id))[0]
-        for atom_id, expr in truth_exprs.items()}
-    _require_list(doc.realizer_rules, "realizer_rules")
-    realizer_rules = []
-    for i, rule in enumerate(doc.realizer_rules):
-        _check_realizer_rule(rule)
-        cond, reads, asks = compile_checked(rule["condition"], f"realizer rule {i}", None)
-        _require_ids(rule["propose"], "propose")
-        for ref in rule["propose"]:
+        truth_rules[atom_id] = cond
+    for atom_id, _, atoms, questions in truth:
+        _check_reads(universe, f"truth rule for {atom_id!r}", atoms, questions,
+                     universe.level(atom_id))
+    for i, (_, proposals, atoms, questions) in enumerate(realizer_rules):
+        _check_reads(universe, f"realizer rule {i}", atoms, questions, None)
+        for ref in proposals:
             if ref not in universe:
                 raise UnknownReference(
                     f"realizer rule {i} proposes unknown atom {ref!r}")
-        realizer_rules.append((cond, rule["propose"], reads, asks))
 
-    _require_ids(doc.initial, "initial")
     for atom_id in doc.initial:
         if atom_id not in universe:
             raise UnknownReference(f"initial state names unknown atom {atom_id!r}")
@@ -406,7 +383,7 @@ def load_instance(doc: InstanceDoc) -> LoadedInstance:
         universe=universe, valuation=valuation, realizer=realizer,
         initial=initial,
         truth_rule_count=len(truth_rules),
-        realizer_rule_count=len(doc.realizer_rules))
+        realizer_rule_count=len(realizer_rules))
 
 
 # ---------------------------------------------------------------------------

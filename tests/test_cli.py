@@ -83,6 +83,12 @@ def _set(*path_and_value):
     return edit
 
 
+def _duplicate_atom_and_bad_condition(data):
+    """Two faults: the shape of a condition is checked before the ids."""
+    data["atoms"].append(dict(data["atoms"][0]))
+    data["truth_rules"][0]["condition"] = "a0"
+
+
 def _deep_condition(key, depth):
     """JSON text of t3 whose first truth rule nests `depth` `key` objects."""
     opening, closing = {"and": ('{"and": [', "]}"), "not": ('{"not": ', "}")}[key]
@@ -262,6 +268,9 @@ EXIT_CODE_CASES = [
                  id="bad-builtin-spec"),
     pytest.param(_on_file("validate", _unknown_key_doc), 2,
                  "unknown condition key", id="unknown-condition-key"),
+    pytest.param(_on_text("validate", _t3_with(_duplicate_atom_and_bad_condition)), 2,
+                 "condition must be a single-key object",
+                 id="bad-condition-before-duplicate-atom"),
     pytest.param(["run", "t3", "--fuel", "0"], 2, "--fuel", id="fuel-zero"),
     pytest.param(_non_utf8, 2, "is not UTF-8",
                  id="non-utf8-file"),

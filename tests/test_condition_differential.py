@@ -50,7 +50,9 @@ def test_depth_bound_rejects_no_generated_document():
     docs = [doc for _, doc, _ in CASES]
     docs += [gen_random(64, 16, 256, seed) for seed in range(20)]
     for doc in docs:
-        assert InstanceDoc.from_json(doc.to_json()) == doc
+        again = InstanceDoc.from_json(doc.to_json())
+        load_instance(again)
+        assert again == doc
 
 
 def _leaves(expr):

@@ -81,7 +81,7 @@ class TestDocSchema:
         doc = builtin_t3()
         doc.truth_rules[0]["condition"] = {"xor": []}
         with pytest.raises(SchemaError):
-            InstanceDoc.from_json(doc.to_json())
+            load_instance(InstanceDoc.from_json(doc.to_json()))
 
     def test_bad_json(self):
         with pytest.raises(SchemaError):
@@ -141,8 +141,8 @@ def test_any_json_value_loads_or_raises_instance_error(data):
         pass
 
 
-# documents built in Python, which `from_dict` never checks: any field,
-# and any node of a condition, may be any JSON value
+# documents built in Python, which reach `load_instance` without `from_dict`:
+# any field, and any node of a condition, may be any JSON value
 _ANY_CONDITION = _CONDITIONS | st.dictionaries(
     st.sampled_from(["const", "present", "answered", "not", "and", "or"]),
     _JSON, min_size=1, max_size=2)
