@@ -40,7 +40,6 @@ from .instances import (
     load_instance,
 )
 from .oracle import (
-    ContractViolation,
     MaskViolation,
     Realizer,
     StateView,

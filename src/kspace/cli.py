@@ -26,7 +26,7 @@ from .instances import (
     gen_random,
     load_instance,
 )
-from .oracle import ContractViolation, ProposalCapExceeded, is_sound, realize
+from .oracle import ProposalCapExceeded, is_sound
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -172,15 +172,11 @@ def cmd_explore(args) -> int:
 
 def cmd_lint(args) -> int:
     inst = resolve_instance(args.instance)
-    # lint reads only the reachable states, never the lemma verdicts
+    # the contract violations the explorer records; no lemma checks run
     tree = _explore(args, inst, check_lemmas=False)
-    violations = []
-    for state in sorted(tree.states, key=sorted):
-        try:
-            realize(inst.realizer, inst.valuation, state, mode="strict")
-        except ContractViolation as exc:
-            violations.append({"state": sorted(state), "atom": exc.atom_id,
-                               "clause": exc.clause})
+    violations = [{"state": sorted(state), "atom": atom_id, "clause": clause}
+                  for state, (atom_id, clause)
+                  in sorted(tree.violations.items(), key=lambda kv: sorted(kv[0]))]
     lines = [f"states_checked: {tree.distinct_state_count}",
              f"violations: {len(violations)}"]
     for item in violations:

@@ -101,6 +101,7 @@ class ReductionTree:
     `states` and `edges` list each distinct state and step once, in
     discovery order.  `node_count`, `edge_count` and `edges_checked` count
     paths: tree nodes, tree edges and edges checked as if on every path.
+    `violations` maps each state to its `Proposals.violation`, if any.
     """
 
     root: State
@@ -112,6 +113,7 @@ class ReductionTree:
     complete: bool = True
     edges_checked: int = 0
     check_failures: list[tuple[ReductionStep, str]] = field(default_factory=list)
+    violations: dict[State, tuple[str, str]] = field(default_factory=dict)
 
     @property
     def edge_count(self) -> int:
@@ -235,8 +237,7 @@ def candidates_from_proposals(universe: AtomUniverse,
 
 
 def _candidates(members: State, r: Realizer, v: Valuation) -> Candidates:
-    proposals = realize(r, v, members, mode="filter")
-    return candidates_from_proposals(r.universe, proposals)
+    return candidates_from_proposals(r.universe, realize(r, v, members))
 
 
 def enumerate_candidates(members: State, r: Realizer, v: Valuation) -> list[State]:
@@ -282,7 +283,7 @@ def step(members: State, chosen: State, r: Realizer, v: Valuation) -> ReductionS
 def is_prefixed(members: State, r: Realizer, v: Valuation) -> bool:
     """True iff the filtered proposal set is contained in the state, which
     for a contract-satisfying realizer means it is empty."""
-    return realize(r, v, members, mode="filter") <= members
+    return realize(r, v, members) <= members
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +446,8 @@ def explore_tree(root: State, r: Realizer, v: Valuation,
         except KeyError:
             pass
         candidates = _candidates(members, r, v)
+        if candidates.proposals.violation is not None:
+            tree.violations[members] = candidates.proposals.violation
         if check_lemmas:
             for name in check_node(members, r, v, candidates=candidates):
                 tree.check_failures.append(

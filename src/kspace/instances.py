@@ -28,10 +28,15 @@ ARGMIN_MAX_POINTS = 32
 RANDOM_MAX_ATOMS = 64
 RANDOM_MAX_LEVEL = 16
 RANDOM_MAX_RULES = 256
+#: Longest InstanceError message; a longer one is cut there and ends in "...".
+MESSAGE_LIMIT = 200
 
 
 class InstanceError(KspaceError):
-    pass
+    def __init__(self, message: str):
+        if len(message) > MESSAGE_LIMIT:
+            message = message[:MESSAGE_LIMIT] + "..."
+        super().__init__(message)
 
 
 class SchemaError(InstanceError):
@@ -150,7 +155,8 @@ class InstanceDoc:
     def from_json(cls, text: str) -> "InstanceDoc":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        # a JSONDecodeError, or an integer past the interpreter's digit limit
+        except ValueError as exc:
             raise SchemaError(f"not valid JSON: {exc}") from None
         except RecursionError:
             raise SchemaError("JSON nested too deeply") from None
@@ -184,6 +190,12 @@ def _check_atom(atom) -> None:
         raise SchemaError(f"atom entry missing fields: {atom!r}")
     if not (isinstance(atom["id"], str) and isinstance(atom["question"], str)):
         raise SchemaError(f"atom id and question must be strings: {atom!r}")
+    # JSON's \ud800 escape gives a lone surrogate, which UTF-8 cannot encode
+    try:
+        (atom["id"] + atom["question"]).encode()
+    except UnicodeEncodeError:
+        raise SchemaError(
+            f"atom id and question must be UTF-8 text: {atom!r}") from None
     # bool is a subclass of int, but true is not a level
     if not isinstance(atom["level"], int) or isinstance(atom["level"], bool):
         raise SchemaError(f"atom level must be an integer: {atom!r}")
@@ -243,17 +255,17 @@ def _rule_realizer(universe: AtomUniverse,
     """
     conds = [cond for cond, _, _, _ in rules]
     proposals = [ids for _, ids, _, _ in rules]
-    # atom id -> the numbers of the rules that read the atom (`by_atom`),
-    # or the question it answers (`by_answer`)
-    by_atom: dict[str, list[int]] = {}
+    # atom id -> the numbers of the rules that read the atom or its question;
+    # the atoms of a question share one list until a rule reads one directly
     by_question: dict[str, list[int]] = {}
-    for i, (_, _, atoms, questions) in enumerate(rules):
-        for atom_id in atoms:
-            by_atom.setdefault(atom_id, []).append(i)
+    for i, (_, _, _, questions) in enumerate(rules):
         for question in questions:
             by_question.setdefault(question, []).append(i)
-    by_answer = {atom_id: readers for question, readers in by_question.items()
-                 for atom_id in universe.question_atoms(question)}
+    readers = {atom_id: ids for question, ids in by_question.items()
+               for atom_id in universe.question_atoms(question)}
+    for i, (_, _, atoms, _) in enumerate(rules):
+        for atom_id in atoms:
+            readers[atom_id] = readers.get(atom_id, []) + [i]
     # the last state realized and each rule's verdict on it
     memo: Optional[tuple[State, list[bool]]] = None
 
@@ -268,8 +280,7 @@ def _rule_realizer(universe: AtomUniverse,
             last, verdicts = memo
             touched: set[int] = set()
             for atom_id in last ^ members:
-                touched.update(by_atom.get(atom_id, ()))
-                touched.update(by_answer.get(atom_id, ()))
+                touched.update(readers.get(atom_id, ()))
             stale = sorted(touched)
             verdicts = verdicts.copy()
         for i in stale:

@@ -8,8 +8,8 @@ equation holds by construction for any terminating procedure.
 
 A realizer proposes new atoms for a state; its view is unmasked.  Every
 surviving proposal must be unanswered in the state and true under the
-valuation (the realizer contract); `realize` either filters violations
-out or reports them, depending on mode.
+valuation (the realizer contract); `realize` filters violations out and
+names the first one it dropped.
 """
 
 from __future__ import annotations
@@ -27,22 +27,13 @@ from .core import (
 
 PROPOSAL_CAP = 64
 
+# the realizer contract's clauses, as `Proposals.violation` names them
+CLAUSE_ANSWERED = "question-already-answered"
+CLAUSE_UNTRUE = "truth-false"
+
 
 class MaskViolation(KspaceError):
     """A valuation queried a question at or above its atom's level."""
-
-
-class ContractViolation(KspaceError):
-    """A raw proposal broke the realizer contract (strict mode only)."""
-
-    CLAUSE_ANSWERED = "question-already-answered"
-    CLAUSE_UNTRUE = "truth-false"
-
-    def __init__(self, atom_id: str, clause: str, state: State):
-        self.atom_id = atom_id
-        self.clause = clause
-        self.state = state
-        super().__init__(f"proposal {atom_id!r} violates clause {clause}")
 
 
 class ProposalCapExceeded(KspaceError):
@@ -142,31 +133,30 @@ def check_level_mask(v: Valuation, atom_id: str, members: State) -> bool:
     return truth(v, atom_id, members) == truth(v, atom_id, masked)
 
 
-def realize(r: Realizer, v: Valuation, members: State,
-            mode: str = "filter") -> frozenset[str]:
-    """Contract-checked proposal set for a state.
+class Proposals(frozenset):
+    """The proposals `realize` keeps.  `violation` is the first raw proposal,
+    in id order, that it dropped and the clause it breaks, as
+    ``(atom_id, clause)``, or None."""
 
-    In ``filter`` mode, proposals whose question is already answered or
-    whose truth fails are dropped silently (the filtered map is itself a
-    realizer).  In ``strict`` mode the first violation raises
-    :class:`ContractViolation` and the raw set is returned only when clean.
-    """
-    if mode not in ("filter", "strict"):
-        raise ValueError(f"unknown realize mode {mode!r}")
+    __slots__ = ("violation",)
+
+    def __new__(cls, kept: Iterable[str], violation: Optional[tuple[str, str]]):
+        self = super().__new__(cls, kept)
+        self.violation = violation
+        return self
+
+
+def realize(r: Realizer, v: Valuation, members: State) -> Proposals:
+    """The raw proposals for a state that meet the realizer contract (the
+    filtered map is itself a realizer); the first one dropped, in id order,
+    is the result's `violation`."""
     universe = r.universe
-    raw = r.propose(StateView(universe, members))
-    kept = []
-    for atom_id in sorted(raw):
-        atom = universe.atom(atom_id)
-        if members & universe.question_atoms(atom.question):
-            if mode == "strict":
-                raise ContractViolation(
-                    atom_id, ContractViolation.CLAUSE_ANSWERED, members)
-            continue
-        if not truth(v, atom_id, members):
-            if mode == "strict":
-                raise ContractViolation(
-                    atom_id, ContractViolation.CLAUSE_UNTRUE, members)
-            continue
-        kept.append(atom_id)
-    return raw if mode == "strict" else frozenset(kept)
+    kept, dropped = [], []
+    for atom_id in sorted(r.propose(StateView(universe, members))):
+        if members & universe.question_atoms(universe.atom(atom_id).question):
+            dropped.append((atom_id, CLAUSE_ANSWERED))
+        elif truth(v, atom_id, members):
+            kept.append(atom_id)
+        else:
+            dropped.append((atom_id, CLAUSE_UNTRUE))
+    return Proposals(kept, dropped[0] if dropped else None)

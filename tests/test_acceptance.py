@@ -88,26 +88,24 @@ def test_criterion_1_lemma_suite_exhaustive_t3():
 
 def test_criterion_2_lemma_suite_fuzzed(fuzz_corpus):
     lemma_failures = 0
-    strict_violations = 0
+    contract_violations = 0
     fuel_exhausted = 0
     for seed, inst, tree in fuzz_corpus:
         lemma_failures += len(tree.check_failures)
         for state in tree.states:
-            try:
-                realize(inst.realizer, inst.valuation, state, mode="strict")
-            except Exception:
-                strict_violations += 1
+            if realize(inst.realizer, inst.valuation, state).violation is not None:
+                contract_violations += 1
         n_atoms = len(inst.universe)
         try:
             run(EMPTY, inst.realizer, inst.valuation,
                 make_strategy("lowest-level-first"), 10 * (n_atoms + 1))
         except Exception:
             fuel_exhausted += 1
-    ok = lemma_failures == 0 and strict_violations == 0 and fuel_exhausted == 0
+    ok = lemma_failures == 0 and contract_violations == 0 and fuel_exhausted == 0
     _report("criterion 2: fuzzed lemma suite over "
             f"{FUZZ_SEED_COUNT} instances", ok,
             f"lemma_failures={lemma_failures} "
-            f"strict_violations={strict_violations} "
+            f"contract_violations={contract_violations} "
             f"fuel_exhausted={fuel_exhausted}")
 
 

@@ -4,10 +4,11 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import kspace
 from kspace import engine
@@ -18,6 +19,8 @@ from kspace.instances import (
     RANDOM_MAX_RULES,
     InstanceDoc,
     builtin_t3,
+    gen_cascade,
+    gen_random,
 )
 
 
@@ -81,6 +84,19 @@ def _set(*path_and_value):
             data = data[step]
         data[key] = value
     return edit
+
+
+def _literal(*path, text):
+    """JSON text of t3 with the value at `path` written as the literal `text`."""
+    def make_text():
+        return _t3_with(_set(*path, "\0literal"))().replace('"\\u0000literal"', text)
+    return make_text
+
+
+def _surrogate_c2():
+    """JSON text of `_breach_doc` with atom c2 renamed to a lone surrogate:
+    lint reports a violation of that atom."""
+    return _breach_doc().to_json().replace('"c2"', '"\\ud800"')
 
 
 def _duplicate_atom_and_bad_condition(data):
@@ -302,6 +318,11 @@ EXIT_CODE_CASES = [
                  "nested more than 100 levels", id="condition-too-deep"),
     pytest.param(_on_text("validate", _deep_condition("not", 3000)), 2,
                  "JSON nested too deeply", id="json-too-deep"),
+    pytest.param(_on_text("validate", _literal("atoms", 3, "level", text="9" * 4400)),
+                 2, "not valid JSON: Exceeds the limit (4300 digits)",
+                 id="integer-past-digit-limit"),
+    pytest.param(_on_text("lint", _surrogate_c2), 2,
+                 "atom id and question must be UTF-8 text", id="lone-surrogate-id"),
     pytest.param(_on_text("validate", _t3_with(_set("atoms", 5))), 2,
                  "atoms must be a list", id="atoms-not-a-list"),
     pytest.param(_on_text("validate", _t3_with(_set("truth_rules", 3))), 2,
@@ -406,3 +427,97 @@ def test_every_argv_exits_with_a_documented_code(argv):
             code = exc.code
     assert code in DOCUMENTED_EXIT_CODES, (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+_BASE_DOCUMENTS = [builtin_t3(), _breach_doc(), gen_cascade(2, 2, 0),
+                   gen_random(8, 2, 6, 1)]
+# integer literals past the interpreter's digit limit, and JSON escapes of
+# lone surrogates
+_HUGE_INTEGERS = ["9" * 4400, "-" + "1" * 4301]
+_SURROGATES = ["\\ud800", "\\udfff"]
+# (opening, innermost value, closing) of deeply nested JSON
+_NESTINGS = [("[", "0", "]"), ('{"not": ', '{"const": true}', "}"),
+             ('{"atoms": [', "0", "]}")]
+
+
+def _nested(depth, nesting):
+    opening, inner, closing = nesting
+    return opening * depth + inner + closing * depth
+
+
+_DEEP = st.builds(_nested, st.integers(1, 5000), st.sampled_from(_NESTINGS))
+
+
+def _paths(value, prefix=()):
+    """The path to every value inside a parsed JSON value, itself included."""
+    yield prefix
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from _paths(item, prefix + (key,))
+
+
+@st.composite
+def _one_value_replaced(draw):
+    """A document with one value written as a huge integer, a lone
+    surrogate or deeply nested JSON, or with one atom id given a lone
+    surrogate wherever it occurs."""
+    data = json.loads(draw(st.sampled_from(_BASE_DOCUMENTS)).to_json())
+    if draw(st.booleans()):
+        atom_id = json.dumps(draw(st.sampled_from([a["id"] for a in data["atoms"]])))
+        surrogate = draw(st.sampled_from(_SURROGATES))
+        return json.dumps(data).replace(atom_id, atom_id[:-1] + surrogate + '"')
+    *path, key = draw(st.sampled_from(list(_paths(data))[1:]))
+    parent = data
+    for step in path:
+        parent = parent[step]
+    parent[key] = "\0literal"
+    literal = draw(st.sampled_from(_HUGE_INTEGERS + [f'"{s}"' for s in _SURROGATES])
+                   | _DEEP)
+    return json.dumps(data).replace('"\\u0000literal"', literal)
+
+
+@st.composite
+def _with_invalid_utf8(draw):
+    """A document with a byte sequence that is not UTF-8 put in it."""
+    text = draw(st.sampled_from(_BASE_DOCUMENTS)).to_json()
+    at = draw(st.integers(0, len(text)))
+    bad = draw(st.sampled_from([b"\xff", b"\xc3(", b"\xed\xa0\x80", b"\x80"]))
+    return text[:at].encode() + bad + text[at:].encode()
+
+
+FILE_BYTES = st.one_of(
+    st.sampled_from(_BASE_DOCUMENTS).map(lambda doc: doc.to_json().encode()),
+    st.binary(max_size=300),
+    _one_value_replaced().map(str.encode),
+    _DEEP.map(str.encode),
+    _with_invalid_utf8(),
+)
+
+
+def _call_with_utf8_output(argv):
+    """main(argv) with stdout encoded as UTF-8, strictly, as on a UTF-8
+    terminal, and stderr with backslashes for what UTF-8 cannot hold, as
+    Python's own stderr does."""
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace")
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+        out.flush()
+        err.flush()
+    return code
+
+
+@settings(max_examples=300, deadline=None)
+@given(FILE_BYTES, st.sampled_from(["text", "json"]))
+@example(_surrogate_c2().encode(), "text")
+@example(_literal("atoms", 3, "level", text="9" * 4400)().encode(), "text")
+def test_any_file_exits_with_a_documented_code(content, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "instance.json"
+        path.write_bytes(content)
+        for command in ("validate", "explore", "lint"):
+            argv = [command, str(path), "--format", fmt]
+            if command != "validate":
+                argv += ["--max-nodes", "2000"]
+            assert _call_with_utf8_output(argv) in DOCUMENTED_EXIT_CODES, argv

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from kspace.engine import STRATEGY_NAMES, explore_tree, make_strategy, run
 from kspace.instances import (
+    MESSAGE_LIMIT,
     DuplicateTruthRule,
     InstanceDoc,
     InstanceError,
@@ -186,6 +187,53 @@ def test_python_built_bad_field_is_a_schema_error(doc, message):
         load_instance(doc)
 
 
+def _nested_lists(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+_LONG = list(range(1000))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: setattr(d, "atoms", {"a": _LONG}),
+    lambda d: d.atoms.__setitem__(0, _LONG),
+    lambda d: d.atoms[0].update(level=str(_LONG)),
+    lambda d: d.truth_rules.__setitem__(0, _LONG),
+    lambda d: d.realizer_rules.__setitem__(0, _LONG),
+    lambda d: setattr(d, "initial", _LONG),
+    lambda d: d.truth_rules[0].update(condition=_LONG),
+    lambda d: d.truth_rules[0].update(condition={str(_LONG): True}),
+], ids=["list", "atom", "atom-field", "truth-rule", "realizer-rule", "ids",
+        "condition", "condition-key"])
+def test_long_value_message_is_cut(edit):
+    doc = builtin_t3()
+    edit(doc)
+    with pytest.raises(SchemaError) as err:
+        load_instance(doc)
+    assert len(str(err.value)) == MESSAGE_LIMIT + len("...")
+    assert str(err.value).endswith("...")
+
+
+def test_deeply_nested_atom_entry_message_is_cut():
+    doc = builtin_t3()
+    doc.atoms[0] = _nested_lists(500)
+    with pytest.raises(SchemaError) as err:
+        load_instance(doc)
+    prefix = "bad atom entry "
+    assert str(err.value) == prefix + "[" * (MESSAGE_LIMIT - len(prefix)) + "..."
+
+
+@pytest.mark.parametrize("length", [0, 1, MESSAGE_LIMIT - 1, MESSAGE_LIMIT,
+                                    MESSAGE_LIMIT + 1, 10 * MESSAGE_LIMIT])
+def test_message_is_cut_only_past_the_limit(length):
+    message = "x" * length
+    expected = message if length <= MESSAGE_LIMIT else message[:MESSAGE_LIMIT] + "..."
+    assert str(InstanceError(message)) == str(SchemaError(message)) == expected
+
+
 @pytest.mark.parametrize("condition, message", [
     ({"and": "xy"}, "and takes a list"),
     (["x"], "single-key object"),
@@ -297,7 +345,7 @@ class TestGenRandom:
             tree = explore_tree(fs(), inst.realizer, inst.valuation,
                                 check_lemmas=False)
             for state in tree.states:
-                realize(inst.realizer, inst.valuation, state, mode="strict")
+                assert realize(inst.realizer, inst.valuation, state).violation is None
 
     def test_parameter_caps(self):
         from kspace.instances import InstanceError

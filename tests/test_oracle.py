@@ -2,7 +2,8 @@ import pytest
 
 from kspace.core import Atom, AtomUniverse
 from kspace.oracle import (
-    ContractViolation,
+    CLAUSE_ANSWERED,
+    CLAUSE_UNTRUE,
     MaskViolation,
     ProposalCapExceeded,
     Realizer,
@@ -61,29 +62,37 @@ class TestRealize:
     def test_prefixed_point_proposes_nothing(self, t3):
         assert realize(t3.realizer, t3.valuation, fs("a0", "b1'", "c2")) == fs()
 
-    def test_strict_flags_answered_question(self, t3_universe):
+    def test_violation_names_answered_question(self, t3_universe):
         r = Realizer(t3_universe, lambda view: {"b1"})
         v = Valuation(t3_universe, lambda atom, view: True)
-        with pytest.raises(ContractViolation) as err:
-            realize(r, v, fs("b1'"), mode="strict")
-        assert err.value.atom_id == "b1"
-        assert err.value.clause == ContractViolation.CLAUSE_ANSWERED
+        result = realize(r, v, fs("b1'"))
+        assert result == fs()
+        assert result.violation == ("b1", CLAUSE_ANSWERED)
 
-    def test_strict_flags_untrue_proposal(self, t3):
-        with pytest.raises(ContractViolation) as err:
-            # c2's truth rule fails on the empty state
-            realize(Realizer(t3.universe, lambda view: {"c2"}),
-                    t3.valuation, fs(), mode="strict")
-        assert err.value.clause == ContractViolation.CLAUSE_UNTRUE
+    def test_violation_names_untrue_proposal(self, t3):
+        # c2's truth rule fails on the empty state
+        result = realize(Realizer(t3.universe, lambda view: {"c2"}),
+                         t3.valuation, fs())
+        assert result == fs()
+        assert result.violation == ("c2", CLAUSE_UNTRUE)
+
+    def test_violation_is_the_first_dropped_in_id_order(self, t3):
+        # at {a0}, a0 is answered and c2 untrue; a0 sorts first
+        r = Realizer(t3.universe, lambda view: {"c2", "b1'", "a0"})
+        result = realize(r, t3.valuation, fs("a0"))
+        assert result == fs("b1'")
+        assert result.violation == ("a0", CLAUSE_ANSWERED)
 
     def test_filter_drops_silently(self, t3):
         # b1's question is answered, c2 remains a valid proposal
         r = Realizer(t3.universe, lambda view: {"b1", "c2"})
         assert realize(r, t3.valuation, fs("b1'")) == fs("c2")
 
-    def test_strict_clean_returns_raw(self, t3):
-        assert realize(t3.realizer, t3.valuation, fs(), mode="strict") \
+    def test_clean_keeps_raw(self, t3):
+        result = realize(t3.realizer, t3.valuation, fs())
+        assert result == t3.realizer.propose(StateView(t3.universe, fs())) \
             == fs("a0", "b1")
+        assert result.violation is None
 
     def test_proposal_cap(self):
         universe = AtomUniverse([Atom(f"a{i}", f"q{i}", 0) for i in range(65)])

@@ -1,8 +1,8 @@
 """The realizer `load_instance` builds, which re-evaluates only the rules
 that read an atom (or the question of an atom) that changed since the
 last state it realized, against the memo-free reference realizer: the
-same raw proposals and `realize` results, in filter and strict modes,
-whatever order the states come in."""
+same raw proposals and `realize` results, kept proposals and first
+violation alike, whatever order the states come in."""
 
 import contextlib
 import random
@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from kspace.engine import STRATEGY_NAMES, FuelExhausted, explore_tree, make_strategy, run
 from kspace.instances import builtin_t3, gen_cascade, gen_random, load_instance
-from kspace.oracle import ContractViolation, MaskViolation, StateView, realize
+from kspace.oracle import MaskViolation, StateView, realize
 
 from reference_conditions import reference_realizer
 from test_acceptance import _fuzz_params
@@ -30,19 +30,16 @@ CASES += [(f"layered:{q},{t},{f},{s}", layered_doc(3, q, t, f, s), 1000, False)
           for q, t, f in LAYERED for s in range(2)]
 
 
-def _realized(realizer, valuation, state, mode):
-    try:
-        return realize(realizer, valuation, state, mode=mode)
-    except ContractViolation as exc:
-        return ("violation", exc.atom_id, exc.clause)
+def _realized(realizer, valuation, state):
+    result = realize(realizer, valuation, state)
+    return result, result.violation
 
 
 def _assert_agrees(inst, ref, state):
     view = StateView(inst.universe, state)
     assert inst.realizer.propose(view) == ref.propose(view), sorted(state)
-    for mode in ("filter", "strict"):
-        assert (_realized(inst.realizer, inst.valuation, state, mode)
-                == _realized(ref, inst.valuation, state, mode)), (sorted(state), mode)
+    assert (_realized(inst.realizer, inst.valuation, state)
+            == _realized(ref, inst.valuation, state)), sorted(state)
 
 
 def _trace_states(inst, ref, name, fuel):
