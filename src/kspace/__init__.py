@@ -23,7 +23,6 @@ from .engine import (
     ReductionStep,
     ReductionTree,
     apply_step,
-    enumerate_candidates,
     explore_tree,
     is_prefixed,
     make_strategy,

@@ -72,8 +72,12 @@ class AtomUniverse:
             if atom.level < 0:
                 raise InvalidState(f"atom {atom.id!r} has negative level")
             if atom.level > MAX_LEVEL:
+                try:
+                    shown = f" {atom.level}"
+                except ValueError:  # past the int-to-str digit limit
+                    shown = ""
                 raise InvalidState(
-                    f"atom {atom.id!r} has level {atom.level} above {MAX_LEVEL}")
+                    f"atom {atom.id!r} has level{shown} above {MAX_LEVEL}")
             self._atoms[atom.id] = atom
             if atom.level > self._max_level:
                 self._max_level = atom.level
@@ -139,6 +143,15 @@ class AtomUniverse:
             return reduce(operator.or_, map(self._bit.__getitem__, members), 0)
         except KeyError as exc:
             raise UnknownAtom(f"unknown atom id {exc.args[0]!r}") from None
+
+    def from_bits(self, bits: int) -> list[str]:
+        """The atom ids of a bit set (see `bits`), in id order."""
+        ids = []
+        while bits:
+            low = bits & -bits
+            ids.append(self._sorted_atoms[low.bit_length() - 1].id)
+            bits ^= low
+        return ids
 
     @cached_property
     def at_level(self) -> tuple[int, ...]:

@@ -240,12 +240,6 @@ def _candidates(members: State, r: Realizer, v: Valuation) -> Candidates:
     return candidates_from_proposals(r.universe, realize(r, v, members))
 
 
-def enumerate_candidates(members: State, r: Realizer, v: Valuation) -> list[State]:
-    """Every candidate at a state, as a list; raises CandidateExplosion when
-    there are more than `CANDIDATE_CAP`."""
-    return list(_candidates(members, r, v))
-
-
 def apply_step(universe: AtomUniverse, members: State, chosen: State) -> State:
     """Successor state: keep levels <= n, add `chosen`, drop levels > n."""
     n = homogeneous_level(chosen, universe)
@@ -353,17 +347,62 @@ def run(members: State, r: Realizer, v: Valuation,
 # ---------------------------------------------------------------------------
 # per-edge invariant suite
 
-def check_edge(v: Valuation, edge: ReductionStep) -> list[str]:
+class TruthRecord:
+    """The truth values of atoms in one state, each evaluated at most once,
+    on demand, by `truth` on the exact state (never on a masked one, so
+    truth stability still tests the level mask).  `known` and `true` are
+    bit sets (`AtomUniverse.bits`): the atoms evaluated so far and those
+    of them that are true."""
+
+    __slots__ = ("v", "members", "known", "true")
+
+    def __init__(self, v: Valuation, members: State):
+        self.v = v
+        self.members = members
+        self.known = self.true = 0
+
+    def true_of(self, wanted: int) -> int:
+        """The bits of `wanted` whose atoms are true in the state."""
+        missing = wanted & ~self.known
+        if missing:
+            universe = self.v.universe
+            self.true |= universe.bits(
+                atom_id for atom_id in universe.from_bits(missing)
+                if truth(self.v, atom_id, self.members))
+            self.known |= missing
+        return self.true & wanted
+
+
+class TruthRecords(dict):
+    """State -> its `TruthRecord`, made on first lookup."""
+
+    def __init__(self, v: Valuation):
+        super().__init__()
+        self.v = v
+
+    def __missing__(self, members: State) -> TruthRecord:
+        record = self[members] = TruthRecord(self.v, members)
+        return record
+
+
+def check_edge(v: Valuation, edge: ReductionStep, *,
+               records: Optional[TruthRecords] = None) -> list[str]:
     """Names of the per-edge invariants the edge violates (empty if clean).
 
     The level checks run on the bit sets of X and Y (`AtomUniverse.bits`),
-    at every integer level m from 0 to one above the top level.
+    at every integer level m from 0 to one above the top level.  Soundness
+    preservation and truth stability read the truth bits of X and Y from
+    `records`, which a caller checking many edges keeps across calls so
+    that each (state, atom) pair is evaluated at most once; without it the
+    two records are made here.
     """
     universe = v.universe
     X, s, Y, n = edge.source, edge.chosen, edge.target, edge.level
     fails: list[str] = []
     x, y = universe.bits(X), universe.bits(Y)
     at_level = universe.at_level
+    if records is None:
+        records = TruthRecords(v)
 
     # a level outside 0..max_level()+1 holds no atom
     at_n = at_level[n] if 0 <= n < len(at_level) else 0
@@ -372,9 +411,12 @@ def check_edge(v: Valuation, edge: ReductionStep) -> list[str]:
         fails.append("at-level-strict-growth")
     if Y == X:
         fails.append("no-self-step")
-    # lt_*: the atoms of X and Y below m; le_*: at or below m
-    lt_x = lt_y = 0
+    # lt_*: the atoms of X and Y below m; le_*: at or below m; le_n: every
+    # atom at or below n
+    lt_x = lt_y = le_n = 0
     for m, at_m in enumerate(at_level):
+        if m <= n:
+            le_n |= at_m
         le_x, le_y = lt_x | (x & at_m), lt_y | (y & at_m)
         lost = le_x & ~le_y
         if m <= n and lost:
@@ -388,11 +430,13 @@ def check_edge(v: Valuation, edge: ReductionStep) -> list[str]:
         lt_x, lt_y = le_x, le_y
     if len(Y) > len(X) + len(s):
         fails.append("finiteness-bound")
-    if is_sound(v, X) and not is_sound(v, Y):
+    record_x, record_y = records[X], records[Y]
+    # a state is sound when all of its members are true in it
+    if not x & ~record_x.true_of(x) and y & ~record_y.true_of(y):
         fails.append("soundness-preserved")
-    for atom in universe.atoms():
-        if atom.level <= n and truth(v, atom.id, Y) != truth(v, atom.id, X):
-            fails.append(f"truth-stability[{atom.id}]")
+    changed = record_x.true_of(le_n) ^ record_y.true_of(le_n)
+    fails.extend(f"truth-stability[{atom_id}]"
+                 for atom_id in universe.from_bits(changed))
     return fails
 
 
@@ -426,7 +470,9 @@ def explore_tree(root: State, r: Realizer, v: Valuation,
     carrying the number of root paths that reach each state at that
     depth.  Each state is expanded once; with `check_lemmas`, `check_node`
     runs once per distinct state and `check_edge` once per distinct edge,
-    and each failure is reported once.  The step relation is acyclic
+    and each failure is reported once.  The edge checks share one
+    `TruthRecords` for the call, so each (state, atom) pair is evaluated
+    at most once per exploration.  The step relation is acyclic
     (a step keeps the levels below n and strictly grows level n), so the
     walk ends.
 
@@ -439,6 +485,7 @@ def explore_tree(root: State, r: Realizer, v: Valuation,
     tree = ReductionTree(root=root, states=[root])
     parent: dict[State, Optional[State]] = {root: None}
     successors: dict[State, list[ReductionStep]] = {}
+    records = TruthRecords(v) if check_lemmas else None
 
     def expand(members: State) -> list[ReductionStep]:
         try:
@@ -458,7 +505,7 @@ def explore_tree(root: State, r: Realizer, v: Valuation,
                 members, chosen, apply_step(universe, members, chosen),
                 homogeneous_level(chosen, universe))
             if check_lemmas:
-                for name in check_edge(v, edge):
+                for name in check_edge(v, edge, records=records):
                     tree.check_failures.append((edge, name))
             edges.append(edge)
         successors[members] = edges

@@ -5,7 +5,8 @@ observable.
 `explore_tree_by_paths` is the former `engine.explore_tree` verbatim,
 except that its thread-pool branch (`parallel=True`, never the default)
 and its candidate-cap parameter (the cap is now a constant) are left
-out.  It builds one `TreeNode` per path and re-checks every edge
+out.  `enumerate_candidates` is the former engine function of that name.
+It builds one `TreeNode` per path and re-checks every edge
 on every path that reaches it, so its cost grows with the number of
 paths: keep its inputs small.
 """
@@ -17,15 +18,19 @@ from typing import Optional
 
 from kspace.core import State, homogeneous_level
 from kspace.engine import (
+    Candidates,
     DepthExceeded,
     NodeBudgetExceeded,
     ReductionStep,
     apply_step,
     check_edge,
     check_node,
-    enumerate_candidates,
 )
-from kspace.oracle import Realizer, Valuation
+from kspace.oracle import Realizer, Valuation, realize
+
+
+def enumerate_candidates(members: State, r: Realizer, v: Valuation) -> list[State]:
+    return list(Candidates(r.universe, realize(r, v, members)))
 
 
 @dataclass

@@ -3,9 +3,10 @@ before `engine.Candidates`, kept to check that choosing straight from the
 grouped proposals changes nothing observable.
 
 Both are the former engine code verbatim, except that each strategy first
-materializes the candidate list (capped, as `enumerate_candidates` was)
+materializes the candidate list (capped, by `enumerate_candidates`)
 and scans it.  Every step therefore builds the whole candidate power set:
-keep the inputs small.
+keep the inputs small.  `enumerate_candidates` is the former engine
+function of that name.
 """
 
 from __future__ import annotations
@@ -15,13 +16,17 @@ from typing import Callable
 
 from kspace.core import AtomUniverse, State, homogeneous_level
 from kspace.engine import (
+    Candidates,
     FuelExhausted,
     InvalidCandidate,
     ReductionStep,
     apply_step,
-    enumerate_candidates,
 )
-from kspace.oracle import Realizer, Valuation
+from kspace.oracle import Realizer, Valuation, realize
+
+
+def enumerate_candidates(members: State, r: Realizer, v: Valuation) -> list[State]:
+    return list(Candidates(r.universe, realize(r, v, members)))
 
 
 def _key(universe: AtomUniverse, s: State):

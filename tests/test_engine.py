@@ -1,6 +1,9 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kspace import engine
 from kspace.core import Atom, AtomUniverse
 from kspace.engine import (
     CandidateExplosion,
@@ -14,7 +17,6 @@ from kspace.engine import (
     STRATEGY_NAMES,
     apply_step,
     check_edge,
-    enumerate_candidates,
     explore_tree,
     is_prefixed,
     make_strategy,
@@ -22,11 +24,12 @@ from kspace.engine import (
     step,
     step_record,
 )
-from kspace.instances import gen_cascade, load_instance
-from kspace.oracle import Realizer, Valuation
+from kspace.instances import builtin_t3, gen_cascade, gen_random, load_instance
+from kspace.oracle import Realizer, Valuation, truth
 
 from conftest import fs
-from reference_explorer import explore_tree_by_paths
+from reference_explorer import enumerate_candidates, explore_tree_by_paths
+from test_acceptance import _fuzz_params
 
 T3_NORMAL_FORM = fs("a0", "b1'", "c2")
 
@@ -273,6 +276,31 @@ class TestExploreTree:
             for e in trace:
                 assert e in edges
             assert final in tree.normal_forms
+
+
+ONCE_CASES = [("t3", builtin_t3(), {})]
+ONCE_CASES += [(f"cascade:{k},{w},0", gen_cascade(k, w, 0), {})
+               for k in range(1, 6) for w in (1, 2)]
+ONCE_CASES += [(f"fuzz:{seed}", gen_random(*_fuzz_params(seed), seed),
+                {"fuel_depth": 10 * (_fuzz_params(seed)[0] + 1),
+                 "max_nodes": 300_000})
+               for seed in range(50)]
+
+
+@pytest.mark.parametrize("doc,budget", [(doc, budget) for _, doc, budget in ONCE_CASES],
+                         ids=[name for name, _, _ in ONCE_CASES])
+def test_lemma_checks_evaluate_each_state_atom_once(monkeypatch, doc, budget):
+    inst = load_instance(doc)
+    evaluated = Counter()
+
+    def counted(v, atom_id, members):
+        evaluated[atom_id, members] += 1
+        return truth(v, atom_id, members)
+    monkeypatch.setattr(engine, "truth", counted)
+    tree = explore_tree(inst.initial, inst.realizer, inst.valuation,
+                        check_lemmas=True, **budget)
+    assert bool(evaluated) == bool(tree.edges)
+    assert [pair for pair, calls in evaluated.items() if calls > 1] == []
 
 
 class TestEdgeChecks:

@@ -1,14 +1,18 @@
 """The state-graph explorer against the path-by-path reference explorer:
-identical statistics, normal forms and budget errors."""
+identical statistics, normal forms and budget errors; and the failures it
+finds through its truth records against the reference edge checks."""
 
 import pytest
 
 from kspace.engine import BudgetExceeded, explore_tree
 from kspace.instances import builtin_t3, gen_cascade, gen_random, load_instance
+from kspace.oracle import Valuation
 
+import reference_checks
 from conftest import fs
 from reference_explorer import explore_tree_by_paths
 from test_acceptance import _fuzz_params
+from test_check_differential import _parity_valuation
 
 
 def _stats(tree):
@@ -77,3 +81,48 @@ def test_budget_sweep_matches_reference(doc):
         assert all(pair in steps for pair in zip(graph.branch, graph.branch[1:]))
         if budget.get("fuel_depth") is not None:
             assert graph.branch[-1] == paths.branch[-1]
+
+
+def _unmasked_parity_valuation(universe):
+    """Truth flips with the size of the whole state, read past the level
+    mask, so that real steps break truth stability and soundness."""
+    atoms = universe.atoms()
+
+    def evaluate(atom, view):
+        return (len(view._members) + atoms.index(atom)) % 2 == 0
+    return Valuation(universe, evaluate)
+
+
+# the masked parity valuation keeps every real step clean; the unmasked
+# one breaks the edge checks
+FORGERS = {"masked": _parity_valuation, "unmasked": _unmasked_parity_valuation}
+FORGED_CASES = [(f"cascade:{k},{w},{s}", gen_cascade(k, w, s), {})
+                for k in range(1, 5) for w in (1, 2) for s in range(2)]
+FORGED_CASES += [(f"fuzz:{seed}", gen_random(*_fuzz_params(seed), seed),
+                  {"fuel_depth": 10 * (_fuzz_params(seed)[0] + 1),
+                   "max_nodes": 300_000})
+                 for seed in range(100)]
+
+
+def _forged_tree(doc, budget, forger):
+    inst = load_instance(doc)
+    v = FORGERS[forger](inst.universe)
+    return v, explore_tree(fs(), inst.realizer, v, **budget)
+
+
+def test_unmasked_forger_fails_checks():
+    # otherwise the comparison below would only see empty failure lists
+    failing = {name for name, doc, budget in FORGED_CASES
+               if _forged_tree(doc, budget, "unmasked")[1].check_failures}
+    assert failing >= {name for name, _, _ in FORGED_CASES
+                       if name.startswith("cascade")}
+
+
+@pytest.mark.parametrize("forger", sorted(FORGERS))
+@pytest.mark.parametrize("doc,budget", [(doc, budget) for _, doc, budget in FORGED_CASES],
+                         ids=[name for name, _, _ in FORGED_CASES])
+def test_forged_valuation_failures_match_reference(doc, budget, forger):
+    v, tree = _forged_tree(doc, budget, forger)
+    for edge in tree.edges:
+        found = [name for e, name in tree.check_failures if e == edge]
+        assert found == reference_checks.check_edge(v, edge)

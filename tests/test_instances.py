@@ -187,6 +187,19 @@ def test_python_built_bad_field_is_a_schema_error(doc, message):
         load_instance(doc)
 
 
+@pytest.mark.parametrize("level", [1001, 10**4000, 10**5000],
+                         ids=["1001", "4001-digits", "5001-digits"])
+def test_level_above_max_is_a_schema_error(level):
+    doc = _t3_with(lambda d: d.atoms[0].update(level=level))
+    try:
+        message = f"atom 'a0' has level {level} above 1000"
+    except ValueError:  # past the int-to-str digit limit: the level is left out
+        message = "atom 'a0' has level above 1000"
+    with pytest.raises(SchemaError) as err:
+        load_instance(doc)
+    assert str(err.value) == str(SchemaError(message))
+
+
 def _nested_lists(depth):
     value = []
     for _ in range(depth):

@@ -16,6 +16,7 @@ from kspace.instances import (
     gen_random,
     load_instance,
 )
+from kspace.oracle import realize
 
 import reference_strategies as reference
 from test_acceptance import _fuzz_params
@@ -99,5 +100,6 @@ def test_matches_reference(load, fuel):
 @pytest.mark.parametrize("questions, right, wrong", LAYERED)
 def test_layered_instances_are_wide(questions, right, wrong):
     inst = load_instance(layered_doc(3, questions, right, wrong, 0))
-    cands = engine.enumerate_candidates(inst.initial, inst.realizer, inst.valuation)
+    proposals = realize(inst.realizer, inst.valuation, inst.initial)
+    cands = list(engine.Candidates(inst.universe, proposals))
     assert len(cands) == (right + 1) ** questions - 1 == 4095
