@@ -8,6 +8,7 @@ so that equal member sets compare (and hash) equal everywhere.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -161,6 +162,12 @@ class AtomUniverse:
         for atom_id, bit in self._bit.items():
             masks[self._atoms[atom_id].level] |= bit
         return tuple(masks)
+
+    @cached_property
+    def at_or_below(self) -> tuple[int, ...]:
+        """`at_or_below[m]`: the bits of the atoms at level m or below, for
+        every integer m in 0..max_level()+1 (the last one holds them all)."""
+        return tuple(itertools.accumulate(self.at_level, operator.or_))
 
 
 def is_state(members: Iterable[str], universe: AtomUniverse) -> bool:

@@ -130,9 +130,10 @@ class Candidates(Sequence):
     member ids.
 
     `proposals` is the proposal set; it is also held grouped by level and
-    question.  `size`, indexing (which unranks one set) and `in` never
-    build the other candidates; iteration does, and raises
-    CandidateExplosion when there are more than `CANDIDATE_CAP` of them.
+    question.  `size`, indexing (which unranks one set), `in` and
+    `level_of` never build the other candidates; iteration, which walks
+    `by_level`, does, and raises CandidateExplosion when there are more
+    than `CANDIDATE_CAP` of them.
     `size` is the number of candidates; `len()` gives the same number but
     fails above `sys.maxsize`, which 64 proposals on 64 questions reach.
     """
@@ -160,11 +161,18 @@ class Candidates(Sequence):
         return self.size > 0
 
     def __contains__(self, s) -> bool:
+        return self.level_of(s) is not None
+
+    def level_of(self, s) -> Optional[int]:
+        """The level of `s` if it is a candidate, else None."""
         if not isinstance(s, (set, frozenset)) or not s or not s <= self._where.keys():
-            return False
+            return None
         # one (level, question) pair per id: at most one id per question
         places = {self._where[atom_id] for atom_id in s}
-        return len(places) == len(s) and len({level for level, _ in places}) == 1
+        levels = {level for level, _ in places}
+        if len(places) == len(s) and len(levels) == 1:
+            return levels.pop()
+        return None
 
     def __getitem__(self, index: int) -> State:
         i = operator.index(index)
@@ -210,10 +218,17 @@ class Candidates(Sequence):
 
     def __iter__(self) -> Iterator[State]:
         # checked on iter(), which list() calls before it asks len()
+        return itertools.chain.from_iterable(
+            level_sets for _, level_sets in self.by_level())
+
+    def by_level(self) -> Iterator[tuple[int, list[State]]]:
+        """Each level with its candidates, in enumeration order.  Raises
+        CandidateExplosion, when called, if there are more than
+        `CANDIDATE_CAP` candidates."""
         if self.size > CANDIDATE_CAP:
             raise CandidateExplosion(f"more than {CANDIDATE_CAP} candidates")
-        return itertools.chain.from_iterable(
-            self._level_sets(self._groups[level]) for level in self.levels)
+        return ((level, self._level_sets(self._groups[level]))
+                for level in self.levels)
 
     @staticmethod
     def _level_sets(groups: list[list[str]]) -> list[State]:
@@ -261,15 +276,13 @@ def apply_step(universe: AtomUniverse, members: State, chosen: State) -> State:
 
 
 def step(members: State, chosen: State, r: Realizer, v: Valuation) -> ReductionStep:
-    universe = r.universe
-    if chosen not in _candidates(members, r, v):
+    level = _candidates(members, r, v).level_of(chosen)
+    if level is None:
         raise InvalidCandidate(f"{sorted(chosen)} is not a candidate")
-    level = homogeneous_level(chosen, universe)
-    assert level is not None
     return ReductionStep(
         source=members,
         chosen=chosen,
-        target=apply_step(universe, members, chosen),
+        target=apply_step(r.universe, members, chosen),
         level=level,
     )
 
@@ -318,9 +331,10 @@ def run(members: State, r: Realizer, v: Valuation,
         fuel: int) -> tuple[list[ReductionStep], State]:
     """Apply the strategy's chosen candidate until none exists.
 
-    The candidates are never enumerated, so no candidate cap applies.
-    Raises FuelExhausted (with the partial trace) if candidates remain
-    after `fuel` steps.
+    The candidates are never enumerated, so no candidate cap applies; each
+    step's level is the chosen candidate's level in them
+    (`Candidates.level_of`).  Raises FuelExhausted (with the partial
+    trace) if candidates remain after `fuel` steps.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
@@ -332,11 +346,11 @@ def run(members: State, r: Realizer, v: Valuation,
         if not candidates:
             return trace, current
         chosen = strategy(candidates)
-        if chosen not in candidates:
+        level = candidates.level_of(chosen)
+        if level is None:
             raise InvalidCandidate("strategy chose outside the candidate set")
         edge = ReductionStep(current, chosen,
-                             apply_step(universe, current, chosen),
-                             homogeneous_level(chosen, universe))
+                             apply_step(universe, current, chosen), level)
         trace.append(edge)
         current = edge.target
     if _candidates(current, r, v):
@@ -350,15 +364,16 @@ def run(members: State, r: Realizer, v: Valuation,
 class TruthRecord:
     """The truth values of atoms in one state, each evaluated at most once,
     on demand, by `truth` on the exact state (never on a masked one, so
-    truth stability still tests the level mask).  `known` and `true` are
-    bit sets (`AtomUniverse.bits`): the atoms evaluated so far and those
-    of them that are true."""
+    truth stability still tests the level mask).  `bits`, `known` and
+    `true` are bit sets (`AtomUniverse.bits`): the state's members, the
+    atoms evaluated so far and those of them that are true."""
 
-    __slots__ = ("v", "members", "known", "true")
+    __slots__ = ("v", "members", "bits", "known", "true")
 
     def __init__(self, v: Valuation, members: State):
         self.v = v
         self.members = members
+        self.bits = v.universe.bits(members)
         self.known = self.true = 0
 
     def true_of(self, wanted: int) -> int:
@@ -390,19 +405,21 @@ def check_edge(v: Valuation, edge: ReductionStep, *,
     """Names of the per-edge invariants the edge violates (empty if clean).
 
     The level checks run on the bit sets of X and Y (`AtomUniverse.bits`),
-    at every integer level m from 0 to one above the top level.  Soundness
+    at every integer level m from 0 to one above the top level, unless
+    three mask tests show that none of them can fail.  Soundness
     preservation and truth stability read the truth bits of X and Y from
     `records`, which a caller checking many edges keeps across calls so
-    that each (state, atom) pair is evaluated at most once; without it the
-    two records are made here.
+    that each state's bit set is built once and each (state, atom) pair is
+    evaluated at most once; without it the two records are made here.
     """
     universe = v.universe
     X, s, Y, n = edge.source, edge.chosen, edge.target, edge.level
     fails: list[str] = []
-    x, y = universe.bits(X), universe.bits(Y)
-    at_level = universe.at_level
     if records is None:
         records = TruthRecords(v)
+    record_x, record_y = records[X], records[Y]
+    x, y = record_x.bits, record_y.bits
+    at_level = universe.at_level
 
     # a level outside 0..max_level()+1 holds no atom
     at_n = at_level[n] if 0 <= n < len(at_level) else 0
@@ -411,26 +428,28 @@ def check_edge(v: Valuation, edge: ReductionStep, *,
         fails.append("at-level-strict-growth")
     if Y == X:
         fails.append("no-self-step")
-    # lt_*: the atoms of X and Y below m; le_*: at or below m; le_n: every
-    # atom at or below n
-    lt_x = lt_y = le_n = 0
-    for m, at_m in enumerate(at_level):
-        if m <= n:
-            le_n |= at_m
-        le_x, le_y = lt_x | (x & at_m), lt_y | (y & at_m)
-        lost = le_x & ~le_y
-        if m <= n and lost:
-            fails.append(f"low-levels-preserved[m={m}]")
-        if lost and y & at_m:
-            fails.append(f"lost-level-emptied[m={m}]")
-        if lt_x == lt_y and m > n:
-            fails.append(f"unchanged-prefix-bound[m={m}]")
-        if lt_x == lt_y and lost:
-            fails.append(f"unchanged-prefix-growth[m={m}]")
-        lt_x, lt_y = le_x, le_y
+    # le_n: every atom at or below n
+    le_n = universe.at_or_below[min(n, len(at_level) - 1)] if n >= 0 else 0
+    # No level check can fail when X and Y differ at or below n (no prefix
+    # above n is unchanged), X loses nothing at or below n and Y holds
+    # nothing above n (no level loses an atom that a check could name).
+    if not ((x ^ y) & le_n and not x & le_n & ~y and not y & ~le_n):
+        # lt_*: the atoms of X and Y below m; le_*: at or below m
+        lt_x = lt_y = 0
+        for m, at_m in enumerate(at_level):
+            le_x, le_y = lt_x | (x & at_m), lt_y | (y & at_m)
+            lost = le_x & ~le_y
+            if m <= n and lost:
+                fails.append(f"low-levels-preserved[m={m}]")
+            if lost and y & at_m:
+                fails.append(f"lost-level-emptied[m={m}]")
+            if lt_x == lt_y and m > n:
+                fails.append(f"unchanged-prefix-bound[m={m}]")
+            if lt_x == lt_y and lost:
+                fails.append(f"unchanged-prefix-growth[m={m}]")
+            lt_x, lt_y = le_x, le_y
     if len(Y) > len(X) + len(s):
         fails.append("finiteness-bound")
-    record_x, record_y = records[X], records[Y]
     # a state is sound when all of its members are true in it
     if not x & ~record_x.true_of(x) and y & ~record_y.true_of(y):
         fails.append("soundness-preserved")
@@ -468,11 +487,15 @@ def explore_tree(root: State, r: Realizer, v: Valuation,
 
     The walk is breadth-first over distinct states, one depth at a time,
     carrying the number of root paths that reach each state at that
-    depth.  Each state is expanded once; with `check_lemmas`, `check_node`
-    runs once per distinct state and `check_edge` once per distinct edge,
-    and each failure is reported once.  The edge checks share one
-    `TruthRecords` for the call, so each (state, atom) pair is evaluated
-    at most once per exploration.  The step relation is acyclic
+    depth.  Each state is expanded once: it is realized once, and each
+    edge takes its level from the candidates' grouping by level
+    (`Candidates.by_level`), so `apply_step`, which validates the chosen
+    set, is the one place its level is computed.  With `check_lemmas`,
+    `check_node` runs once per distinct state and `check_edge` once per
+    distinct edge, and each failure is reported once.  The edge checks
+    share one `TruthRecords` for the call, so each state's bit set is
+    built once and each (state, atom) pair is evaluated at most once per
+    exploration.  The step relation is acyclic
     (a step keeps the levels below n and strictly grows level n), so the
     walk ends.
 
@@ -500,14 +523,15 @@ def explore_tree(root: State, r: Realizer, v: Valuation,
                 tree.check_failures.append(
                     (ReductionStep(members, frozenset(), members, 0), name))
         edges = []
-        for chosen in candidates:
-            edge = ReductionStep(
-                members, chosen, apply_step(universe, members, chosen),
-                homogeneous_level(chosen, universe))
-            if check_lemmas:
-                for name in check_edge(v, edge, records=records):
-                    tree.check_failures.append((edge, name))
-            edges.append(edge)
+        for level, level_sets in candidates.by_level():
+            for chosen in level_sets:
+                edge = ReductionStep(
+                    members, chosen, apply_step(universe, members, chosen),
+                    level)
+                if check_lemmas:
+                    for name in check_edge(v, edge, records=records):
+                        tree.check_failures.append((edge, name))
+                edges.append(edge)
         successors[members] = edges
         tree.edges.extend(edges)
         return edges

@@ -59,6 +59,17 @@ class UnsoundInitial(InstanceError):
     pass
 
 
+def _shown(value) -> str:
+    """repr(value) for a message, or a stand-in when the value holds an
+    int past the interpreter's int-to-str digit limit or is nested past
+    the recursion limit, which only a document built in Python can (JSON
+    parsing rejects both)."""
+    try:
+        return repr(value)
+    except (ValueError, RecursionError):
+        return "<a value too large to print>"
+
+
 # ---------------------------------------------------------------------------
 # boolean conditions
 
@@ -84,7 +95,7 @@ def compile_expr(expr, atoms: set[str], questions: set[str],
         raise SchemaError(
             f"condition nested more than {MAX_CONDITION_DEPTH} levels deep")
     if not isinstance(expr, dict) or len(expr) != 1:
-        raise SchemaError(f"condition must be a single-key object, got {expr!r}")
+        raise SchemaError(f"condition must be a single-key object, got {_shown(expr)}")
     ((key, value),) = expr.items()
     if key == "const":
         if not isinstance(value, bool):
@@ -102,7 +113,7 @@ def compile_expr(expr, atoms: set[str], questions: set[str],
         inner = compile_expr(value, atoms, questions, depth + 1)
         return lambda view: not inner(view)
     if key not in ("and", "or"):
-        raise SchemaError(f"unknown condition key {key!r}")
+        raise SchemaError(f"unknown condition key {_shown(key)}")
     if not isinstance(value, list):
         raise SchemaError(f"{key} takes a list of conditions")
     # a loop, not a comprehension: on Python 3.11 a comprehension is one
@@ -180,46 +191,47 @@ class InstanceDoc:
 
 def _require_list(value, key: str) -> None:
     if not isinstance(value, list):
-        raise SchemaError(f"{key} must be a list, got {value!r}")
+        raise SchemaError(f"{key} must be a list, got {_shown(value)}")
 
 
 def _check_atom(atom) -> None:
     if not isinstance(atom, dict) or not _ATOM_KEYS.issuperset(atom):
-        raise SchemaError(f"bad atom entry {atom!r}")
+        raise SchemaError(f"bad atom entry {_shown(atom)}")
     if not ("id" in atom and "question" in atom and "level" in atom):
-        raise SchemaError(f"atom entry missing fields: {atom!r}")
+        raise SchemaError(f"atom entry missing fields: {_shown(atom)}")
     if not (isinstance(atom["id"], str) and isinstance(atom["question"], str)):
-        raise SchemaError(f"atom id and question must be strings: {atom!r}")
+        raise SchemaError(f"atom id and question must be strings: {_shown(atom)}")
     # JSON's \ud800 escape gives a lone surrogate, which UTF-8 cannot encode
     try:
         (atom["id"] + atom["question"]).encode()
     except UnicodeEncodeError:
         raise SchemaError(
-            f"atom id and question must be UTF-8 text: {atom!r}") from None
+            f"atom id and question must be UTF-8 text: {_shown(atom)}") from None
     # bool is a subclass of int, but true is not a level
     if not isinstance(atom["level"], int) or isinstance(atom["level"], bool):
-        raise SchemaError(f"atom level must be an integer: {atom!r}")
+        raise SchemaError(f"atom level must be an integer: {_shown(atom)}")
     if not isinstance(atom.get("label", ""), str):
-        raise SchemaError(f"atom label must be a string: {atom!r}")
+        raise SchemaError(f"atom label must be a string: {_shown(atom)}")
 
 
 def _check_truth_rule(rule) -> None:
     if not (isinstance(rule, dict) and len(rule) == 2
             and "atom" in rule and "condition" in rule):
-        raise SchemaError(f"bad truth rule {rule!r}")
+        raise SchemaError(f"bad truth rule {_shown(rule)}")
     if not isinstance(rule["atom"], str):
-        raise SchemaError(f"truth rule atom must be an id string: {rule!r}")
+        raise SchemaError(f"truth rule atom must be an id string: {_shown(rule)}")
 
 
 def _check_realizer_rule(rule) -> None:
     if not (isinstance(rule, dict) and len(rule) == 2
             and "condition" in rule and "propose" in rule):
-        raise SchemaError(f"bad realizer rule {rule!r}")
+        raise SchemaError(f"bad realizer rule {_shown(rule)}")
 
 
 def _require_ids(value, what: str) -> None:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise SchemaError(f"{what} must be a list of atom id strings, got {value!r}")
+        raise SchemaError(
+            f"{what} must be a list of atom id strings, got {_shown(value)}")
 
 
 @dataclass

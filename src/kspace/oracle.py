@@ -41,13 +41,22 @@ class ProposalCapExceeded(KspaceError):
 
 
 class StateView:
-    """Query-only access to a state, optionally masked below a level cap."""
+    """Query-only access to a state, optionally masked below a level cap.
+
+    A view answers for the state it was built on: it memoizes `answered`,
+    one entry per question asked, so the caller must not mutate the set
+    behind it.  A call that raises (a question at or above the cap, an
+    unknown question) stores nothing and raises again when repeated.
+    """
+
+    __slots__ = ("universe", "_members", "_level_cap", "_answered")
 
     def __init__(self, universe: AtomUniverse, members: State,
                  level_cap: Optional[int] = None):
         self.universe = universe
         self._members = members
         self._level_cap = level_cap
+        self._answered: dict[str, bool] = {}
 
     def query(self, question: str) -> State:
         level = self.universe.question_level(question)
@@ -70,7 +79,10 @@ class StateView:
         return atom_id in self._members
 
     def answered(self, question: str) -> bool:
-        return bool(self.query(question))
+        answer = self._answered.get(question)
+        if answer is None:
+            answer = self._answered[question] = bool(self.query(question))
+        return answer
 
     def members(self) -> State:
         """The whole state.  Only an unmasked view gives it out: a masked
@@ -149,11 +161,16 @@ class Proposals(frozenset):
 def realize(r: Realizer, v: Valuation, members: State) -> Proposals:
     """The raw proposals for a state that meet the realizer contract (the
     filtered map is itself a realizer); the first one dropped, in id order,
-    is the result's `violation`."""
+    is the result's `violation`.
+
+    The "question already answered" clause is asked of the view the
+    realizer was given, so a question the realizer's own rules asked about
+    is answered once."""
     universe = r.universe
+    view = StateView(universe, members)
     kept, dropped = [], []
-    for atom_id in sorted(r.propose(StateView(universe, members))):
-        if members & universe.question_atoms(universe.atom(atom_id).question):
+    for atom_id in sorted(r.propose(view)):
+        if view.answered(universe.atom(atom_id).question):
             dropped.append((atom_id, CLAUSE_ANSWERED))
         elif truth(v, atom_id, members):
             kept.append(atom_id)

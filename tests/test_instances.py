@@ -200,6 +200,26 @@ def test_level_above_max_is_a_schema_error(level):
     assert str(err.value) == str(SchemaError(message))
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.atoms[0].update(label=10**5000), "atom label must be a string"),
+    (lambda d: d.truth_rules[0].update(condition=10**5000),
+     "condition must be a single-key object"),
+    (lambda d: d.realizer_rules[0].update(propose=[10**5000]),
+     "propose must be a list of atom id strings"),
+], ids=["label", "condition", "propose"])
+def test_int_past_digit_limit_in_message_is_a_schema_error(edit, message):
+    # the message would show the int with repr, which raises ValueError
+    with pytest.raises(SchemaError, match=message):
+        load_instance(_t3_with(edit))
+
+
+def test_value_nested_past_recursion_limit_in_message_is_a_schema_error():
+    # repr of the entry would raise RecursionError
+    doc = _t3_with(lambda d: d.atoms.__setitem__(0, _nested_lists(100_000)))
+    with pytest.raises(SchemaError, match="bad atom entry"):
+        load_instance(doc)
+
+
 def _nested_lists(depth):
     value = []
     for _ in range(depth):
