@@ -119,15 +119,22 @@ def cmd_run(args) -> int:
     result = {
         "final_state": sorted(final),
         "is_prefixed": engine.is_prefixed(final, inst.realizer, inst.valuation),
-        "is_sound": is_sound(inst.valuation, final),
+        # the final state is the last step's target, whose soundness the
+        # last record holds
+        "is_sound": (records[-1]["sound_after"] if records
+                     else is_sound(inst.valuation, final)),
         "steps": len(trace),
     }
     if inst.witness is not None and not exhausted:
         result["witness"] = inst.witness(final)
-    lines = [json.dumps(rec, sort_keys=True) for rec in records]
-    lines += [f"{key}: {json.dumps(value)}" for key, value in sorted(result.items())]
+    lines = []
+    if args.format == "text":
+        lines = [json.dumps(rec, sort_keys=True) for rec in records]
+        lines += [f"{key}: {json.dumps(value)}"
+                  for key, value in sorted(result.items())]
+        if exhausted:
+            lines.append(f"fuel_exhausted: true (fuel={args.fuel})")
     if exhausted:
-        lines.append(f"fuel_exhausted: true (fuel={args.fuel})")
         result["fuel_exhausted"] = True
     _emit(args, {"trace": records, "result": result}, lines)
     return EXIT_BUDGET if exhausted else EXIT_OK

@@ -125,16 +125,33 @@ class Realizer:
         return raw
 
 
-def truth(v: Valuation, atom_id: str, members: State) -> bool:
-    """Truth of an atom in a state, through the level-masked view."""
+def truth(v: Valuation, atom_id: str, members: State,
+          views: Optional[dict[int, StateView]] = None) -> bool:
+    """Truth of an atom in a state, through the view masked below the
+    atom's level.
+
+    `views`, when given, maps a level cap to the masked view of this one
+    state and is filled on first use, so that atoms of one level share a
+    view and its `answered` memo.  The result is the same as with a fresh
+    view for any deterministic valuation: a shared view holds the same
+    state and cap, answers each question as a fresh one would, and stores
+    nothing for a call that raises."""
     atom = v.universe.atom(atom_id)
-    view = StateView(v.universe, members, level_cap=atom.level)
+    if views is None:
+        view = StateView(v.universe, members, level_cap=atom.level)
+    else:
+        view = views.get(atom.level)
+        if view is None:
+            view = views[atom.level] = StateView(
+                v.universe, members, level_cap=atom.level)
     return v.evaluate(atom, view)
 
 
 def is_sound(v: Valuation, members: State) -> bool:
-    """True iff every member of the state is true in it."""
-    return all(truth(v, a, members) for a in members)
+    """True iff every member of the state is true in it.  Members of one
+    level share one masked view (see `truth`)."""
+    views: dict[int, StateView] = {}
+    return all(truth(v, a, members, views) for a in members)
 
 
 def check_level_mask(v: Valuation, atom_id: str, members: State) -> bool:
@@ -165,14 +182,16 @@ def realize(r: Realizer, v: Valuation, members: State) -> Proposals:
 
     The "question already answered" clause is asked of the view the
     realizer was given, so a question the realizer's own rules asked about
-    is answered once."""
+    is answered once.  The truth clause is asked through one masked view
+    per level of the proposals (see `truth`)."""
     universe = r.universe
     view = StateView(universe, members)
+    views: dict[int, StateView] = {}
     kept, dropped = [], []
     for atom_id in sorted(r.propose(view)):
         if view.answered(universe.atom(atom_id).question):
             dropped.append((atom_id, CLAUSE_ANSWERED))
-        elif truth(v, atom_id, members):
+        elif truth(v, atom_id, members, views):
             kept.append(atom_id)
         else:
             dropped.append((atom_id, CLAUSE_UNTRUE))

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import kspace
 from kspace import engine
-from kspace.cli import main
+from kspace.cli import main, resolve_instance
 from kspace.instances import (
     RANDOM_MAX_ATOMS,
     RANDOM_MAX_LEVEL,
@@ -22,6 +22,7 @@ from kspace.instances import (
     gen_cascade,
     gen_random,
 )
+from kspace.oracle import is_sound
 
 
 def invoke(capsys, *argv):
@@ -196,6 +197,41 @@ class TestRun:
         result = json.loads(out)["result"]
         assert result["final_state"] == sorted(f"a{i}" for i in range(n))
         assert result["is_prefixed"] is True and result["is_sound"] is True
+
+    @staticmethod
+    def _assert_sound_as_computed(capsys, spec, *options):
+        code, out, _ = invoke(capsys, "run", spec, "--format", "json", *options)
+        payload = json.loads(out)
+        result = payload["result"]
+        inst = resolve_instance(spec)
+        final = frozenset(result["final_state"])
+        assert result["is_sound"] is is_sound(inst.valuation, final)
+        return code, payload
+
+    # the result's soundness is read from the last trace record; it must
+    # be the final state's
+    @pytest.mark.parametrize("strategy", engine.STRATEGY_NAMES)
+    @pytest.mark.parametrize("spec", ["cascade:4,2,1", "random:12,3,10,7"])
+    def test_is_sound_is_the_final_states(self, capsys, spec, strategy):
+        code, payload = self._assert_sound_as_computed(
+            capsys, spec, "--strategy", strategy, "--seed", "5")
+        assert code == 0 and payload["trace"]
+
+    def test_is_sound_when_fuel_runs_out(self, capsys):
+        code, payload = self._assert_sound_as_computed(
+            capsys, "cascade:4,2,1", "--fuel", "2")
+        assert code == 4 and payload["result"]["fuel_exhausted"] is True
+        assert payload["result"]["steps"] == len(payload["trace"]) == 2
+
+    def test_is_sound_of_a_zero_step_run(self, capsys, tmp_path):
+        # t3's normal form as the initial state: nothing is proposed
+        doc = builtin_t3()
+        doc.initial = ["a0", "b1'", "c2"]
+        path = tmp_path / "done.json"
+        path.write_text(doc.to_json())
+        code, payload = self._assert_sound_as_computed(capsys, str(path))
+        assert code == 0 and payload["trace"] == []
+        assert payload["result"]["steps"] == 0
 
 
 class TestExplore:
