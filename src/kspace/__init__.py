@@ -13,10 +13,6 @@ from .core import (
     State,
     UnknownAtom,
     UnknownQuestion,
-    homogeneous_level,
-    is_state,
-    level_restrict,
-    query,
 )
 from .engine import (
     FuelExhausted,
@@ -27,7 +23,6 @@ from .engine import (
     is_prefixed,
     make_strategy,
     run,
-    step,
 )
 from .instances import (
     InstanceDoc,
@@ -43,7 +38,6 @@ from .oracle import (
     Realizer,
     StateView,
     Valuation,
-    check_level_mask,
     is_sound,
     realize,
     truth,

@@ -46,7 +46,7 @@ EXIT_CODES = (
 
 def _parse_ints(text: str, what: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        return [int(part) for part in text.split(",")]
     except ValueError:
         raise InstanceError(f"bad {what} spec: {text!r}") from None
 

@@ -275,18 +275,6 @@ def apply_step(universe: AtomUniverse, members: State, chosen: State) -> State:
     return kept | chosen
 
 
-def step(members: State, chosen: State, r: Realizer, v: Valuation) -> ReductionStep:
-    level = _candidates(members, r, v).level_of(chosen)
-    if level is None:
-        raise InvalidCandidate(f"{sorted(chosen)} is not a candidate")
-    return ReductionStep(
-        source=members,
-        chosen=chosen,
-        target=apply_step(r.universe, members, chosen),
-        level=level,
-    )
-
-
 def is_prefixed(members: State, r: Realizer, v: Valuation) -> bool:
     """True iff the filtered proposal set is contained in the state, which
     for a contract-satisfying realizer means it is empty."""

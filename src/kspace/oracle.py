@@ -21,7 +21,6 @@ from .core import (
     Atom,
     KspaceError,
     State,
-    level_restrict,
     query,
 )
 
@@ -130,20 +129,20 @@ def truth(v: Valuation, atom_id: str, members: State,
     """Truth of an atom in a state, through the view masked below the
     atom's level.
 
-    `views`, when given, maps a level cap to the masked view of this one
-    state and is filled on first use, so that atoms of one level share a
-    view and its `answered` memo.  The result is the same as with a fresh
-    view for any deterministic valuation: a shared view holds the same
-    state and cap, answers each question as a fresh one would, and stores
-    nothing for a call that raises."""
+    `views` maps a level cap to the masked view of this one state and is
+    filled on first use, so that atoms of one level share a view and its
+    `answered` memo; without it the call uses a dict of its own.  The
+    result is the same as with a fresh view for any deterministic
+    valuation: a shared view holds the same state and cap, answers each
+    question as a fresh one would, and stores nothing for a call that
+    raises."""
     atom = v.universe.atom(atom_id)
     if views is None:
-        view = StateView(v.universe, members, level_cap=atom.level)
-    else:
-        view = views.get(atom.level)
-        if view is None:
-            view = views[atom.level] = StateView(
-                v.universe, members, level_cap=atom.level)
+        views = {}
+    view = views.get(atom.level)
+    if view is None:
+        view = views[atom.level] = StateView(
+            v.universe, members, level_cap=atom.level)
     return v.evaluate(atom, view)
 
 
@@ -152,14 +151,6 @@ def is_sound(v: Valuation, members: State) -> bool:
     level share one masked view (see `truth`)."""
     views: dict[int, StateView] = {}
     return all(truth(v, a, members, views) for a in members)
-
-
-def check_level_mask(v: Valuation, atom_id: str, members: State) -> bool:
-    """Compare the verdict on X against the verdict on X masked below the
-    atom's level; must agree for any well-formed valuation."""
-    atom = v.universe.atom(atom_id)
-    masked = level_restrict(members, "below", atom.level, v.universe)
-    return truth(v, atom_id, members) == truth(v, atom_id, masked)
 
 
 class Proposals(frozenset):

@@ -1,6 +1,8 @@
 import pytest
 
+from kspace.core import level_restrict
 from kspace.instances import builtin_t3, load_instance
+from kspace.oracle import truth
 
 
 @pytest.fixture(scope="session")
@@ -15,3 +17,10 @@ def t3_universe(t3):
 
 def fs(*ids):
     return frozenset(ids)
+
+
+def mask_equation_holds(v, atom_id, members):
+    """The level-mask equation: an atom's truth in a state equals its truth
+    in the state restricted to the levels below the atom's own."""
+    masked = level_restrict(members, "below", v.universe.level(atom_id), v.universe)
+    return truth(v, atom_id, members) == truth(v, atom_id, masked)

@@ -318,6 +318,12 @@ EXIT_CODE_CASES = [
     pytest.param(["validate", "t3"], 0, "", id="ok"),
     pytest.param(["validate", "cascade:1,2"], 2, "cascade takes",
                  id="bad-builtin-spec"),
+    pytest.param(["validate", "cascade:6,,2,0"], 2, "bad cascade spec",
+                 id="cascade-empty-field"),
+    pytest.param(["validate", "random:12,,3,10,7"], 2, "bad random spec",
+                 id="random-empty-field"),
+    pytest.param(["validate", "argmin:5,3,"], 2, "bad argmin spec",
+                 id="argmin-empty-field"),
     pytest.param(_on_file("validate", _unknown_key_doc), 2,
                  "unknown condition key", id="unknown-condition-key"),
     pytest.param(_on_text("validate", _t3_with(_duplicate_atom_and_bad_condition)), 2,

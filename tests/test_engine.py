@@ -21,7 +21,6 @@ from kspace.engine import (
     is_prefixed,
     make_strategy,
     run,
-    step,
     step_record,
 )
 from kspace.instances import builtin_t3, gen_cascade, gen_random, load_instance
@@ -153,21 +152,6 @@ class TestApplyStep:
             apply_step(t3_universe, fs("a0"), fs("b1", "b1'"))
 
 
-class TestStep:
-    def test_basic(self, t3):
-        edge = step(fs(), fs("b1"), t3.realizer, t3.valuation)
-        assert edge.target == fs("b1")
-        assert edge.level == 1
-
-    def test_non_monotone_revision(self, t3):
-        edge = step(fs("b1"), fs("a0"), t3.realizer, t3.valuation)
-        assert edge.target == fs("a0")  # b1 erased
-
-    def test_invalid_candidate(self, t3):
-        with pytest.raises(InvalidCandidate):
-            step(fs(), fs("c2"), t3.realizer, t3.valuation)
-
-
 class TestIsPrefixed:
     def test_normal_form(self, t3):
         assert is_prefixed(T3_NORMAL_FORM, t3.realizer, t3.valuation)
@@ -198,6 +182,29 @@ class TestRun:
         trace, final = run(T3_NORMAL_FORM, t3.realizer, t3.valuation,
                            make_strategy("lowest-level-first"), 10)
         assert trace == [] and final == T3_NORMAL_FORM
+
+    @staticmethod
+    def _one_step(t3, members, chosen):
+        """The edge `run` takes from `members` when its strategy picks
+        `chosen`, with fuel for one step (t3 has candidates after it)."""
+        with pytest.raises(FuelExhausted) as err:
+            run(members, t3.realizer, t3.valuation, lambda cands: chosen, 1)
+        (edge,) = err.value.trace
+        return edge
+
+    def test_basic(self, t3):
+        edge = self._one_step(t3, fs(), fs("b1"))
+        assert edge.target == fs("b1")
+        assert edge.level == 1
+
+    def test_non_monotone_revision(self, t3):
+        edge = self._one_step(t3, fs("b1"), fs("a0"))
+        assert edge.target == fs("a0")  # b1 erased
+
+    def test_strategy_choosing_a_non_candidate(self, t3):
+        # c2 is proposed only once b1' is in
+        with pytest.raises(InvalidCandidate):
+            run(fs(), t3.realizer, t3.valuation, lambda cands: fs("c2"), 10)
 
     def test_fuel_exhausted_carries_trace(self, t3):
         with pytest.raises(FuelExhausted) as err:

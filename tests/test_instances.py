@@ -19,9 +19,9 @@ from kspace.instances import (
     gen_random,
     load_instance,
 )
-from kspace.oracle import check_level_mask, is_sound, realize
+from kspace.oracle import is_sound, realize
 
-from conftest import fs
+from conftest import fs, mask_equation_holds
 
 
 class TestLoadInstance:
@@ -297,7 +297,7 @@ class TestT3Dynamics:
         tree = explore_tree(fs(), inst.realizer, inst.valuation)
         for state in tree.states:
             for atom in inst.universe.atoms():
-                assert check_level_mask(inst.valuation, atom.id, state)
+                assert mask_equation_holds(inst.valuation, atom.id, state)
 
 
 class TestArgmin:

@@ -9,13 +9,12 @@ from kspace.oracle import (
     Realizer,
     StateView,
     Valuation,
-    check_level_mask,
     is_sound,
     realize,
     truth,
 )
 
-from conftest import fs
+from conftest import fs, mask_equation_holds
 
 
 class TestTruth:
@@ -104,21 +103,21 @@ class TestRealize:
 
 class TestLevelMask:
     def test_t3_c2_full_state(self, t3):
-        assert check_level_mask(t3.valuation, "c2", fs("a0", "b1'", "c2"))
+        assert mask_equation_holds(t3.valuation, "c2", fs("a0", "b1'", "c2"))
 
     def test_level_zero_always_holds(self, t3):
         for X in (fs(), fs("b1"), fs("a0", "b1'", "c2")):
-            assert check_level_mask(t3.valuation, "a0", X)
+            assert mask_equation_holds(t3.valuation, "a0", X)
 
     def test_t3_b1_ignores_higher(self, t3):
-        assert check_level_mask(t3.valuation, "b1", fs("a0", "c2"))
+        assert mask_equation_holds(t3.valuation, "b1", fs("a0", "c2"))
 
     def test_holds_on_all_t3_atoms_and_reachable_states(self, t3):
         from kspace.engine import explore_tree
         tree = explore_tree(fs(), t3.realizer, t3.valuation, check_lemmas=False)
         for state in tree.states:
             for atom in t3.universe.atoms():
-                assert check_level_mask(t3.valuation, atom.id, state)
+                assert mask_equation_holds(t3.valuation, atom.id, state)
 
 
 class TestStateView:

@@ -1,0 +1,74 @@
+"""Every public name of the program has a caller in the program.
+
+Each public module-level function or class under ``src/kspace`` and each
+public method of such a class must be referenced somewhere under
+``src/kspace``, outside its own definition and outside ``__init__.py``
+(whose re-exports call nothing).  Only AST references count: a ``Name``,
+or the attribute of an ``Attribute``; an import, a comment or a docstring
+does not.  A name that only the tests use is test-only API: delete it, or
+list it in ALLOWED with the reason it stays.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "kspace"
+
+# qualified name -> why it stays without a caller under src/
+ALLOWED = {
+    "instances.InstanceDoc.to_json":
+        "the document writer, paired with the reader InstanceDoc.from_json",
+}
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _public_definitions(module: str, tree: ast.Module):
+    """(qualified name, node) of each public module-level function or class
+    and of each public method of such a class."""
+    for node in tree.body:
+        if isinstance(node, _DEFS) and not node.name.startswith("_"):
+            yield f"{module}.{node.name}", node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, _DEFS[:2])
+                            and not item.name.startswith("_")):
+                        yield f"{module}.{node.name}.{item.name}", item
+
+
+def _references(node: ast.AST, enclosing: frozenset = frozenset()):
+    """(referenced name, ids of the definitions enclosing the reference) for
+    each Name and Attribute under `node`."""
+    if isinstance(node, ast.Name):
+        yield node.id, enclosing
+    elif isinstance(node, ast.Attribute):
+        yield node.attr, enclosing
+    if isinstance(node, _DEFS):
+        enclosing = enclosing | {id(node)}
+    for child in ast.iter_child_nodes(node):
+        yield from _references(child, enclosing)
+
+
+def _uncalled() -> list[str]:
+    """The qualified names of the public definitions without a reference."""
+    definitions, references = [], []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        definitions.extend(_public_definitions(path.stem, tree))
+        references.extend(_references(tree))
+    return [qualified for qualified, node in definitions
+            if not any(name == node.name and id(node) not in enclosing
+                       for name, enclosing in references)]
+
+
+def test_every_public_name_has_a_caller_in_the_program():
+    uncalled = [name for name in _uncalled() if name not in ALLOWED]
+    assert uncalled == [], (
+        f"public names that nothing under src/kspace references: {uncalled}")
+
+
+def test_every_allowed_name_is_defined_and_uncalled():
+    # an entry whose name gained a caller or went away is stale
+    assert set(ALLOWED) <= set(_uncalled())
