@@ -10,7 +10,9 @@ place that applies it.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import re
 import sys
 from typing import Optional
 
@@ -44,11 +46,18 @@ EXIT_CODES = (
 )
 
 
+# a builtin-spec field: ASCII digits with an optional leading minus
+_INT_FIELD = re.compile(r"-?[0-9]+")
+
+
 def _parse_ints(text: str, what: str) -> list[int]:
+    parts = text.split(",")
     try:
-        return [int(part) for part in text.split(",")]
-    except ValueError:
-        raise InstanceError(f"bad {what} spec: {text!r}") from None
+        if all(map(_INT_FIELD.fullmatch, parts)):
+            return [int(part) for part in parts]
+    except ValueError:  # a field past the int-to-str digit limit
+        pass
+    raise InstanceError(f"bad {what} spec: {text!r}")
 
 
 def resolve_instance(spec: str) -> LoadedInstance:
@@ -77,9 +86,48 @@ def resolve_instance(spec: str) -> LoadedInstance:
     return load_instance(InstanceDoc.from_json(text))
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _to_json(value, indent: str = "\n") -> str:
+    """`json.dumps(value, sort_keys=True, indent=2)`, byte for byte, for
+    dicts with str keys, lists, str, int, bool and None (exact types; any
+    other raises `TypeError`).  `json.dumps` with an indent runs the
+    pure-Python encoder; this writer encodes each string in C, and a list
+    of strings in one `join`."""
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int:
+        return repr(value)
+    inner = indent + "  "
+    if kind is list:
+        if not value:
+            return "[]"
+        separator = "," + inner
+        try:  # a list of strings, in one join
+            body = separator.join(map(_encode_str, value))
+        except TypeError:  # an item that is not a string
+            body = separator.join([_to_json(item, inner) for item in value])
+        return "[" + inner + body + indent + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        body = ("," + inner).join([_encode_str(key) + ": " + _to_json(value[key], inner)
+                                   for key in sorted(value)])
+        return "{" + inner + body + indent + "}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.format == "json":
-        out = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        out = _to_json(payload) + "\n"
     else:
         out = "\n".join(text_lines) + "\n"
     if args.output:
@@ -208,7 +256,9 @@ def non_negative_int(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser,
+                            dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each command's parser by name."""
     parser = argparse.ArgumentParser(
         prog="kspace",
         description="Reduction engine for stratified knowledge states.")
@@ -244,23 +294,52 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--no-check-lemmas", dest="check_lemmas",
                            action="store_false", default=True)
 
-    return parser
+    return parser, sub.choices
 
 
 # built once: building it costs about as much as a small explore call
-PARSER = build_parser()
+PARSER, _COMMAND_PARSERS = build_parser()
+
+
+def _parse_args(argv: Optional[list[str]]) -> argparse.Namespace:
+    """`PARSER.parse_args(argv)`, parsing a valid command line once.
+
+    For a command line that starts with a command name, argparse's
+    subparsers action only hands the rest to that command's parser, so this
+    takes that step itself.  Anything else (no command, an unknown one, a
+    top-level `-h`, arguments the command leaves over) goes through
+    `PARSER`, which prints the usage and error it always has."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = _COMMAND_PARSERS.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return PARSER.parse_args(argv)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = PARSER.parse_args(argv)
+    # What a command builds (compiled closures, views, frozensets, trees)
+    # holds no reference cycles, so reference counting frees it, and the
+    # cyclic collector is paused for the command, as Mercurial's `util.nogc`
+    # does.  A `random:` spec leaves one small cycle (`gen_random`'s
+    # recursive helper) to the next collection.
+    gc_enabled = gc.isenabled()
+    gc.disable()
     try:
-        return args.func(args)
-    except (KspaceError, OSError) as exc:
-        message = str(exc)
-        if isinstance(exc, engine.BudgetExceeded):
-            message += f" (branch prefix: {[sorted(s) for s in exc.branch]})"
-        print(f"error: {message}", file=sys.stderr)
-        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
+        args = _parse_args(argv)
+        try:
+            return args.func(args)
+        except (KspaceError, OSError) as exc:
+            message = str(exc)
+            if isinstance(exc, engine.BudgetExceeded):
+                message += f" (branch prefix: {[sorted(s) for s in exc.branch]})"
+            print(f"error: {message}", file=sys.stderr)
+            return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
+    finally:
+        if gc_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

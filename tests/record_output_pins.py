@@ -1,10 +1,11 @@
-"""Record the exit code and stdout digest of fixed CLI calls.
+"""Record the exit code, stdout digest and stderr digest of fixed CLI calls.
 
 The pins in `tests/data/output_pins.json` hold, for each call in `CASES`,
-the exit code and the sha256 of the bytes `kspace` writes to stdout, in
-both output formats.  `tests/test_output_pins.py` checks them, so a change
-that alters any printed byte of these calls fails tier-1.  Re-record only
-when a change to the output is intended:
+the exit code and the sha256 of the bytes `kspace` writes to stdout and to
+stderr.  `tests/test_output_pins.py` checks them, so a change that alters
+any printed byte of these calls fails tier-1.  Instance files are named
+relative to `tests/data`, where each call runs.  Re-record only when a
+change to the output is intended:
 
     PYTHONPATH=src python tests/record_output_pins.py
 """
@@ -15,13 +16,22 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 from kspace.cli import main
 from kspace.engine import STRATEGY_NAMES
 
-PINS_PATH = Path(__file__).parent / "data" / "output_pins.json"
+DATA_DIR = Path(__file__).parent / "data"
+PINS_PATH = DATA_DIR / "output_pins.json"
+
+#: t3 with every atom id and question renamed to non-ASCII text (quotes,
+#: a backslash, a tab, an astral character)
+UNICODE_DOC = "unicode_ids.json"
+#: t3 plus a rule that proposes c2 at every state: `lint` reports violations
+BREACH_DOC = "breach.json"
 
 
 def _commands() -> list[list[str]]:
@@ -36,27 +46,51 @@ def _commands() -> list[list[str]]:
     # budget errors (exit 4): a partial trace, and no output at all
     calls += [["run", "cascade:6,2,0", "--fuel", "2"],
               ["explore", "cascade:6,2,0", "--max-nodes", "10"]]
+    calls += [["validate", spec] for spec in ("t3", "cascade:4,2,1", UNICODE_DOC)]
+    calls += [[command, UNICODE_DOC] for command in ("explore", "lint", "run")]
+    calls += [["lint", BREACH_DOC]]
     return calls
 
 
-#: every command in the text and the json format
+#: every command in the text and the json format, then command lines that
+#: argparse rejects (exit 2, usage on stderr)
 CASES = [argv + ["--format", fmt] for argv in _commands()
-         for fmt in ("text", "json")]
+         for fmt in ("text", "json")] + [
+    [],
+    ["frobnicate", "t3"],
+    ["run", "t3", "--fuel", "0"],
+    ["explore", "t3", "extra"],
+]
 
 
-def call(argv: list[str]) -> tuple[int, str]:
-    """Exit code and stdout sha256 of one in-process CLI call."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(list(argv))
-    return code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def call(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout sha256 and stderr sha256 of one in-process CLI
+    call, run in `DATA_DIR` with argparse's line width fixed at 80."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(DATA_DIR)
+    try:
+        with mock.patch.dict(os.environ, COLUMNS="80"), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # argparse rejects the command line
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+    return code, _sha256(out.getvalue()), _sha256(err.getvalue())
 
 
 def record() -> list[dict]:
     pins = []
     for argv in CASES:
-        code, digest = call(argv)
-        pins.append({"argv": argv, "exit": code, "stdout_sha256": digest})
+        code, stdout, stderr = call(argv)
+        pins.append({"argv": argv, "exit": code, "stdout_sha256": stdout,
+                     "stderr_sha256": stderr})
     return pins
 
 

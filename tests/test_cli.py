@@ -324,6 +324,14 @@ EXIT_CODE_CASES = [
                  id="random-empty-field"),
     pytest.param(["validate", "argmin:5,3,"], 2, "bad argmin spec",
                  id="argmin-empty-field"),
+    pytest.param(["run", "argmin:1_0,3"], 2, "bad argmin spec",
+                 id="argmin-underscore-field"),
+    pytest.param(["run", "argmin:٣,5"], 2, "bad argmin spec",
+                 id="argmin-non-ascii-digit"),
+    pytest.param(["validate", "cascade:6, 2,0"], 2, "bad cascade spec",
+                 id="cascade-space-in-field"),
+    pytest.param(["validate", "cascade:+6,2,0"], 2, "bad cascade spec",
+                 id="cascade-plus-sign"),
     pytest.param(_on_file("validate", _unknown_key_doc), 2,
                  "unknown condition key", id="unknown-condition-key"),
     pytest.param(_on_text("validate", _t3_with(_duplicate_atom_and_bad_condition)), 2,

@@ -1,8 +1,9 @@
 """The CLI's printed bytes and exit codes on fixed calls stay as recorded.
 
 The golden digests of the benchmark hash parsed JSON only; these pins
-hash the exact stdout bytes of `explore`, `lint` and `run` in both
-formats (see `record_output_pins.py` for the calls and how to re-record).
+hash the exact stdout and stderr bytes of `validate`, `explore`, `lint`
+and `run` in both formats, and of command lines argparse rejects (see
+`record_output_pins.py` for the calls and how to re-record).
 """
 
 import json
@@ -20,4 +21,5 @@ def test_pins_cover_every_case():
 
 @pytest.mark.parametrize("pin", PINS, ids=lambda pin: " ".join(pin["argv"]))
 def test_output_matches_pin(pin):
-    assert call(pin["argv"]) == (pin["exit"], pin["stdout_sha256"])
+    assert call(pin["argv"]) == (pin["exit"], pin["stdout_sha256"],
+                                 pin["stderr_sha256"])
