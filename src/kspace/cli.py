@@ -46,18 +46,27 @@ EXIT_CODES = (
 )
 
 
-# a builtin-spec field: ASCII digits with an optional leading minus
+# a builtin-spec field or an integer flag: ASCII digits, an optional minus
 _INT_FIELD = re.compile(r"-?[0-9]+")
 
 
+def _int(text: str) -> int:
+    """`int(text)` for a text matching `_INT_FIELD`; anything else raises
+    ValueError, which argparse reports as an invalid value."""
+    if not _INT_FIELD.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)  # ValueError past the int-to-str digit limit
+
+
+# argparse names the type in its error from `__name__`: "invalid int value"
+_int.__name__ = "int"
+
+
 def _parse_ints(text: str, what: str) -> list[int]:
-    parts = text.split(",")
     try:
-        if all(map(_INT_FIELD.fullmatch, parts)):
-            return [int(part) for part in parts]
-    except ValueError:  # a field past the int-to-str digit limit
-        pass
-    raise InstanceError(f"bad {what} spec: {text!r}")
+        return [_int(part) for part in text.split(",")]
+    except ValueError:
+        raise InstanceError(f"bad {what} spec: {text!r}") from None
 
 
 def resolve_instance(spec: str) -> LoadedInstance:
@@ -243,14 +252,14 @@ def cmd_lint(args) -> int:
 
 
 def positive_int(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
 def non_negative_int(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
     return value
@@ -281,7 +290,7 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     p.add_argument("--strategy", choices=engine.STRATEGY_NAMES,
                    default="lowest-level-first")
     p.add_argument("--fuel", type=positive_int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int, default=0)
     p.set_defaults(func=cmd_run)
 
     for name, func in (("explore", cmd_explore), ("lint", cmd_lint)):

@@ -3,13 +3,14 @@ reduction-graph explorer.
 
 A step picks a nonempty homogeneous set ``s`` of proposals at one level
 ``n``, keeps everything in the state at levels <= n, adds ``s``, and
-erases every atom above n.  `Candidates` holds the sets a step may pick
-at a state without building them; `run` and its strategies pick one set
-from it, and only the explorer lists them all.  The explorer walks every
-state reachable from a root once, checking the per-state and per-edge
-invariants once per distinct state and edge, and derives the figures of
-the reduction tree (one node per path) from path counts instead of
-building it.
+erases every atom above n.  `apply_step` is the one place a chosen set is
+checked to be such a step and its level computed.  `Candidates` holds the
+sets a step may pick at a state without building them; `run` and its
+strategies pick one set from it, and only the explorer lists them all.
+The explorer walks every state reachable from a root once, checking the
+per-state and per-edge invariants once per distinct state and edge, and
+derives the figures of the reduction tree (one node per path) from path
+counts instead of building it.
 """
 
 from __future__ import annotations
@@ -41,15 +42,15 @@ STRATEGY_NAMES = (
 )
 
 
-class NotHomogeneous(KspaceError):
-    pass
-
-
-class QuestionConflict(KspaceError):
-    pass
-
-
 class InvalidCandidate(KspaceError):
+    pass
+
+
+class NotHomogeneous(InvalidCandidate):
+    pass
+
+
+class QuestionConflict(InvalidCandidate):
     pass
 
 
@@ -130,10 +131,9 @@ class Candidates(Sequence):
     member ids.
 
     `proposals` is the proposal set; it is also held grouped by level and
-    question.  `size`, indexing (which unranks one set), `in` and
-    `level_of` never build the other candidates; iteration, which walks
-    `by_level`, does, and raises CandidateExplosion when there are more
-    than `CANDIDATE_CAP` of them.
+    question.  `size` and indexing (which unranks one set) never build the
+    other candidates; iteration does, and raises CandidateExplosion when
+    there are more than `CANDIDATE_CAP` of them.
     `size` is the number of candidates; `len()` gives the same number but
     fails above `sys.maxsize`, which 64 proposals on 64 questions reach.
     """
@@ -141,11 +141,9 @@ class Candidates(Sequence):
     def __init__(self, universe: AtomUniverse, proposals: frozenset[str]):
         self.proposals = proposals
         by_level: dict[int, dict[str, list[str]]] = {}
-        self._where: dict[str, tuple[int, str]] = {}
         for atom_id in proposals:
             atom = universe.atom(atom_id)
             by_level.setdefault(atom.level, {}).setdefault(atom.question, []).append(atom_id)
-            self._where[atom_id] = (atom.level, atom.question)
         self.levels = sorted(by_level)
         # level -> the sorted ids of each of its questions
         self._groups = {level: [sorted(ids) for ids in by_level[level].values()]
@@ -159,20 +157,6 @@ class Candidates(Sequence):
 
     def __bool__(self) -> bool:
         return self.size > 0
-
-    def __contains__(self, s) -> bool:
-        return self.level_of(s) is not None
-
-    def level_of(self, s) -> Optional[int]:
-        """The level of `s` if it is a candidate, else None."""
-        if not isinstance(s, (set, frozenset)) or not s or not s <= self._where.keys():
-            return None
-        # one (level, question) pair per id: at most one id per question
-        places = {self._where[atom_id] for atom_id in s}
-        levels = {level for level, _ in places}
-        if len(places) == len(s) and len(levels) == 1:
-            return levels.pop()
-        return None
 
     def __getitem__(self, index: int) -> State:
         i = operator.index(index)
@@ -218,17 +202,10 @@ class Candidates(Sequence):
 
     def __iter__(self) -> Iterator[State]:
         # checked on iter(), which list() calls before it asks len()
-        return itertools.chain.from_iterable(
-            level_sets for _, level_sets in self.by_level())
-
-    def by_level(self) -> Iterator[tuple[int, list[State]]]:
-        """Each level with its candidates, in enumeration order.  Raises
-        CandidateExplosion, when called, if there are more than
-        `CANDIDATE_CAP` candidates."""
         if self.size > CANDIDATE_CAP:
             raise CandidateExplosion(f"more than {CANDIDATE_CAP} candidates")
-        return ((level, self._level_sets(self._groups[level]))
-                for level in self.levels)
+        return itertools.chain.from_iterable(
+            self._level_sets(self._groups[level]) for level in self.levels)
 
     @staticmethod
     def _level_sets(groups: list[list[str]]) -> list[State]:
@@ -255,14 +232,17 @@ def _candidates(members: State, r: Realizer, v: Valuation) -> Candidates:
     return candidates_from_proposals(r.universe, realize(r, v, members))
 
 
-def apply_step(universe: AtomUniverse, members: State, chosen: State) -> State:
-    """Successor state: keep levels <= n, add `chosen`, drop levels > n."""
+def apply_step(universe: AtomUniverse, members: State,
+               chosen: State) -> ReductionStep:
+    """The step that adds `chosen` to the state: keep levels <= n, add
+    `chosen`, drop levels > n, where n is the level of `chosen`.  Raises
+    NotHomogeneous or QuestionConflict, both InvalidCandidate, when
+    `chosen` is not a nonempty one-level set that answers only questions
+    the kept state leaves open, each once."""
     n = homogeneous_level(chosen, universe)
     if n is None:
         raise NotHomogeneous(f"chosen set {sorted(chosen)} is not homogeneous")
-    if members & chosen:
-        raise QuestionConflict(
-            f"chosen atoms {sorted(members & chosen)} already in the state")
+    # a chosen atom already in the state is kept: its question is answered
     kept = level_restrict(members, "at_or_below", n, universe)
     questions = {universe.atom(a).question for a in kept}
     for atom_id in chosen:
@@ -272,7 +252,7 @@ def apply_step(universe: AtomUniverse, members: State, chosen: State) -> State:
                 f"atom {atom_id!r} answers question {question!r}, which the "
                 f"kept state or another chosen atom already answers")
         questions.add(question)
-    return kept | chosen
+    return ReductionStep(members, chosen, kept | chosen, n)
 
 
 def is_prefixed(members: State, r: Realizer, v: Valuation) -> bool:
@@ -319,10 +299,12 @@ def run(members: State, r: Realizer, v: Valuation,
         fuel: int) -> tuple[list[ReductionStep], State]:
     """Apply the strategy's chosen candidate until none exists.
 
-    The candidates are never enumerated, so no candidate cap applies; each
-    step's level is the chosen candidate's level in them
-    (`Candidates.level_of`).  Raises FuelExhausted (with the partial
-    trace) if candidates remain after `fuel` steps.
+    The candidates are never enumerated, so no candidate cap applies.  A
+    chosen set must be a set of the state's proposals; `apply_step` checks
+    the rest and raises InvalidCandidate when it is no candidate (the
+    proposals answer only open questions, so a set of them is a candidate
+    iff it is a step).  Raises FuelExhausted (with the partial trace) if
+    candidates remain after `fuel` steps.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
@@ -334,11 +316,10 @@ def run(members: State, r: Realizer, v: Valuation,
         if not candidates:
             return trace, current
         chosen = strategy(candidates)
-        level = candidates.level_of(chosen)
-        if level is None:
+        if not (isinstance(chosen, (set, frozenset))
+                and chosen <= candidates.proposals):
             raise InvalidCandidate("strategy chose outside the candidate set")
-        edge = ReductionStep(current, chosen,
-                             apply_step(universe, current, chosen), level)
+        edge = apply_step(universe, current, chosen)
         trace.append(edge)
         current = edge.target
     if _candidates(current, r, v):
@@ -389,7 +370,7 @@ class TruthRecords(dict):
 
 
 def check_edge(v: Valuation, edge: ReductionStep, *,
-               records: Optional[TruthRecords] = None) -> list[str]:
+               records: TruthRecords) -> list[str]:
     """Names of the per-edge invariants the edge violates (empty if clean).
 
     The level checks run on the bit sets of X and Y (`AtomUniverse.bits`),
@@ -398,13 +379,11 @@ def check_edge(v: Valuation, edge: ReductionStep, *,
     preservation and truth stability read the truth bits of X and Y from
     `records`, which a caller checking many edges keeps across calls so
     that each state's bit set is built once and each (state, atom) pair is
-    evaluated at most once; without it the two records are made here.
+    evaluated at most once.
     """
     universe = v.universe
     X, s, Y, n = edge.source, edge.chosen, edge.target, edge.level
     fails: list[str] = []
-    if records is None:
-        records = TruthRecords(v)
     record_x, record_y = records[X], records[Y]
     x, y = record_x.bits, record_y.bits
     at_level = universe.at_level
@@ -447,15 +426,9 @@ def check_edge(v: Valuation, edge: ReductionStep, *,
     return fails
 
 
-def check_node(members: State, r: Realizer, v: Valuation, *,
-               candidates: Optional[Candidates] = None) -> list[str]:
-    """Pre-fixed-point triple agreement at a single state.
-
-    `candidates` are the state's candidates when the caller has already
-    built them; otherwise the state is realized here.
-    """
-    if candidates is None:
-        candidates = _candidates(members, r, v)
+def check_node(members: State, candidates: Candidates) -> list[str]:
+    """Pre-fixed-point triple agreement at a single state, whose
+    candidates are `candidates`."""
     proposals = candidates.proposals
     no_candidates = not candidates
     contained = proposals <= members
@@ -475,12 +448,11 @@ def explore_tree(root: State, r: Realizer, v: Valuation,
 
     The walk is breadth-first over distinct states, one depth at a time,
     carrying the number of root paths that reach each state at that
-    depth.  Each state is expanded once: it is realized once, and each
-    edge takes its level from the candidates' grouping by level
-    (`Candidates.by_level`), so `apply_step`, which validates the chosen
-    set, is the one place its level is computed.  With `check_lemmas`,
-    `check_node` runs once per distinct state and `check_edge` once per
-    distinct edge, and each failure is reported once.  The edge checks
+    depth.  Each state is expanded once: it is realized once, and
+    `apply_step` builds each edge from a candidate, the one place the
+    edge's level is computed.  With `check_lemmas`, `check_node` runs once
+    per distinct state and `check_edge` once per distinct edge, and each
+    failure is reported once.  The edge checks
     share one `TruthRecords` for the call, so each state's bit set is
     built once and each (state, atom) pair is evaluated at most once per
     exploration.  The step relation is acyclic
@@ -507,19 +479,14 @@ def explore_tree(root: State, r: Realizer, v: Valuation,
         if candidates.proposals.violation is not None:
             tree.violations[members] = candidates.proposals.violation
         if check_lemmas:
-            for name in check_node(members, r, v, candidates=candidates):
+            for name in check_node(members, candidates):
                 tree.check_failures.append(
                     (ReductionStep(members, frozenset(), members, 0), name))
-        edges = []
-        for level, level_sets in candidates.by_level():
-            for chosen in level_sets:
-                edge = ReductionStep(
-                    members, chosen, apply_step(universe, members, chosen),
-                    level)
-                if check_lemmas:
-                    for name in check_edge(v, edge, records=records):
-                        tree.check_failures.append((edge, name))
-                edges.append(edge)
+        edges = [apply_step(universe, members, chosen) for chosen in candidates]
+        if check_lemmas:
+            for edge in edges:
+                for name in check_edge(v, edge, records=records):
+                    tree.check_failures.append((edge, name))
         successors[members] = edges
         tree.edges.extend(edges)
         return edges

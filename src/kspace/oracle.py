@@ -119,8 +119,6 @@ class Realizer:
             raise ProposalCapExceeded(
                 f"{len(raw)} proposals exceed cap {PROPOSAL_CAP}"
             )
-        for atom_id in raw:
-            self.universe.atom(atom_id)  # raises UnknownAtom
         return raw
 
 
@@ -179,7 +177,8 @@ def realize(r: Realizer, v: Valuation, members: State) -> Proposals:
     view = StateView(universe, members)
     views: dict[int, StateView] = {}
     kept, dropped = [], []
-    for atom_id in sorted(r.propose(view)):
+    # key=str: an id of another type sorts and then fails its lookup
+    for atom_id in sorted(r.propose(view), key=str):
         if view.answered(universe.atom(atom_id).question):
             dropped.append((atom_id, CLAUSE_ANSWERED))
         elif truth(v, atom_id, members, views):

@@ -22,6 +22,7 @@ from kspace.engine import (
     DepthExceeded,
     NodeBudgetExceeded,
     ReductionStep,
+    TruthRecords,
     apply_step,
     check_edge,
     check_node,
@@ -90,13 +91,14 @@ def explore_tree_by_paths(root: State, r: Realizer, v: Valuation,
         except KeyError:
             pass
         if check_lemmas:
-            for name in check_node(members, r, v):
+            for name in check_node(
+                    members, Candidates(universe, realize(r, v, members))):
                 tree.check_failures.append(
                     (ReductionStep(members, frozenset(), members, 0), name))
         edges = []
         for chosen in enumerate_candidates(members, r, v):
             edges.append(ReductionStep(
-                members, chosen, apply_step(universe, members, chosen),
+                members, chosen, apply_step(universe, members, chosen).target,
                 homogeneous_level(chosen, universe)))
         expansions[members] = edges
         return edges
@@ -126,7 +128,7 @@ def explore_tree_by_paths(root: State, r: Realizer, v: Valuation,
                 tree.edges.append(edge)
                 if check_lemmas:
                     tree.edges_checked += 1
-                    for name in check_edge(v, edge):
+                    for name in check_edge(v, edge, records=TruthRecords(v)):
                         tree.check_failures.append((edge, name))
                 child = TreeNode(edge.target, node.depth + 1, node_index,
                                  duplicate=edge.target in seen)

@@ -66,7 +66,7 @@ def run(members: State, r: Realizer, v: Valuation,
         if chosen not in candidates:
             raise InvalidCandidate("strategy chose outside the candidate set")
         edge = ReductionStep(current, chosen,
-                             apply_step(universe, current, chosen),
+                             apply_step(universe, current, chosen).target,
                              homogeneous_level(chosen, universe))
         trace.append(edge)
         current = edge.target

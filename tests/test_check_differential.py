@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kspace.core import Atom, AtomUniverse
-from kspace.engine import ReductionStep, check_edge, explore_tree
+from kspace.engine import ReductionStep, TruthRecords, check_edge, explore_tree
 from kspace.instances import builtin_t3, gen_cascade, gen_random, load_instance
 from kspace.oracle import Valuation
 
@@ -32,10 +32,11 @@ def test_matches_reference(doc, budget):
     v = inst.valuation
     tree = explore_tree(inst.initial, inst.realizer, v, check_lemmas=False, **budget)
     for edge in tree.edges:
-        assert check_edge(v, edge) == reference_checks.check_edge(v, edge)
+        assert check_edge(v, edge, records=TruthRecords(v)) \
+            == reference_checks.check_edge(v, edge)
         # a step strictly grows its level, so the reversed step never does
         forged = _reversed(edge)
-        fails = check_edge(v, forged)
+        fails = check_edge(v, forged, records=TruthRecords(v))
         assert "at-level-strict-growth" in fails
         assert fails == reference_checks.check_edge(v, forged)
 
@@ -81,4 +82,5 @@ def gapped_edges(draw):
 @given(gapped_edges())
 def test_forged_edges_match_reference(case):
     v, edge = case
-    assert check_edge(v, edge) == reference_checks.check_edge(v, edge)
+    assert check_edge(v, edge, records=TruthRecords(v)) \
+        == reference_checks.check_edge(v, edge)

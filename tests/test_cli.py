@@ -338,6 +338,18 @@ EXIT_CODE_CASES = [
                  "condition must be a single-key object",
                  id="bad-condition-before-duplicate-atom"),
     pytest.param(["run", "t3", "--fuel", "0"], 2, "--fuel", id="fuel-zero"),
+    pytest.param(["run", "t3", "--fuel", "1_0"], 2,
+                 "argument --fuel: invalid positive_int value: '1_0'",
+                 id="fuel-underscore"),
+    pytest.param(["explore", "t3", "--max-nodes", "+1000"], 2,
+                 "argument --max-nodes: invalid positive_int value: '+1000'",
+                 id="max-nodes-plus-sign"),
+    pytest.param(["run", "t3", "--seed", "٣"], 2,
+                 "argument --seed: invalid int value: '٣'",
+                 id="seed-non-ascii-digit"),
+    pytest.param(["lint", "t3", "--max-depth", " 3"], 2,
+                 "argument --max-depth: invalid non_negative_int value: ' 3'",
+                 id="max-depth-space"),
     pytest.param(_non_utf8, 2, "is not UTF-8",
                  id="non-utf8-file"),
     pytest.param(["explore", "t3", "--max-nodes", "-5"], 2, "--max-nodes",

@@ -14,7 +14,9 @@ from kspace.engine import (
     NodeBudgetExceeded,
     NotHomogeneous,
     QuestionConflict,
+    ReductionStep,
     STRATEGY_NAMES,
+    TruthRecords,
     apply_step,
     check_edge,
     explore_tree,
@@ -24,7 +26,7 @@ from kspace.engine import (
     step_record,
 )
 from kspace.instances import builtin_t3, gen_cascade, gen_random, load_instance
-from kspace.oracle import Realizer, Valuation, truth
+from kspace.oracle import Realizer, Valuation, realize, truth
 
 from conftest import fs
 from reference_explorer import enumerate_candidates, explore_tree_by_paths
@@ -98,17 +100,30 @@ class TestCandidates:
     @settings(max_examples=200, deadline=None)
     @given(grouped_proposals(), st.data())
     def test_membership_matches_list(self, pair, data):
+        # `run` accepts a strategy's choice iff it is a listed candidate: at
+        # the empty state every proposal's question is open and true, so
+        # the proposals are kept and the listed candidates are the steps
         universe, proposals = pair
-        cands = Candidates(universe, proposals)
-        listed = list(cands)
+        r = Realizer(universe, lambda view: proposals)
+        v = Valuation(universe, lambda atom, view: True)
+        listed = list(Candidates(universe, proposals))
+        if not listed:  # the strategy is never asked
+            assert run(fs(), r, v, lambda cands: None, 1) == ([], fs())
+            return
         ids = [a.id for a in universe.atoms()]
-        probes = [frozenset(), set(listed[0]) if listed else set(), "a", None,
-                  sorted(listed[-1]) if listed else []]
-        if ids:
-            probes += data.draw(st.lists(st.frozensets(st.sampled_from(ids)),
-                                         max_size=20))
+        probes = [frozenset(), set(listed[0]), "a", None, sorted(listed[-1])]
+        probes += data.draw(st.lists(st.frozensets(st.sampled_from(ids)),
+                                     max_size=20))
         for s in listed + probes:
-            assert (s in cands) == (s in listed), s
+            try:
+                trace, _ = run(fs(), r, v, lambda cands: s, 1)
+            except FuelExhausted as err:
+                trace = err.trace
+            except InvalidCandidate:
+                assert s not in listed, s
+                continue
+            assert s in listed, s
+            assert trace == [apply_step(universe, fs(), s)]
 
     def test_size_past_cap_without_listing(self):
         n = 80
@@ -117,7 +132,6 @@ class TestCandidates:
         assert cands.size == 2 ** n - 1 and cands
         assert cands[0] == fs("a00")
         assert cands[-1] == fs(f"a{n - 1}")
-        assert frozenset(f"a{i:02d}" for i in range(n)) in cands
         assert cands.smallest_per_question(0) == frozenset(
             f"a{i:02d}" for i in range(n))
         with pytest.raises(CandidateExplosion):
@@ -126,16 +140,23 @@ class TestCandidates:
 
 class TestApplyStep:
     def test_lower_level_erases_higher(self, t3_universe):
-        assert apply_step(t3_universe, fs("b1"), fs("a0")) == fs("a0")
+        assert apply_step(t3_universe, fs("b1"), fs("a0")).target == fs("a0")
 
     def test_disjoint_questions_merge(self, t3_universe):
-        assert apply_step(t3_universe, fs("a0"), fs("b1'")) == fs("a0", "b1'")
+        assert apply_step(t3_universe, fs("a0"), fs("b1'")).target \
+            == fs("a0", "b1'")
+
+    def test_returns_the_step(self, t3_universe):
+        assert apply_step(t3_universe, fs("a0", "b1"), fs("c2")) \
+            == ReductionStep(fs("a0", "b1"), fs("c2"), fs("a0", "b1", "c2"), 2)
+        assert apply_step(t3_universe, fs("b1", "c2"), fs("a0")) \
+            == ReductionStep(fs("b1", "c2"), fs("a0"), fs("a0"), 0)
 
     def test_top_level_drops_nothing(self, t3_universe):
         universe = AtomUniverse(
             [Atom(a.id, a.question, a.level) for a in t3_universe.atoms()]
             + [Atom("d2", "q3", 2)])
-        assert apply_step(universe, fs("a0", "b1'", "c2"), fs("d2")) \
+        assert apply_step(universe, fs("a0", "b1'", "c2"), fs("d2")).target \
             == fs("a0", "b1'", "c2", "d2")
 
     def test_not_homogeneous(self, t3_universe):
@@ -145,6 +166,8 @@ class TestApplyStep:
     def test_question_conflict(self, t3_universe):
         with pytest.raises(QuestionConflict):
             apply_step(t3_universe, fs("b1"), fs("b1'"))
+        with pytest.raises(QuestionConflict):
+            apply_step(t3_universe, fs("a0", "b1"), fs("b1"))
 
     def test_chosen_atoms_answering_one_question_conflict(self, t3_universe):
         # b1 and b1' both answer q1: their union is not a state
@@ -205,6 +228,21 @@ class TestRun:
         # c2 is proposed only once b1' is in
         with pytest.raises(InvalidCandidate):
             run(fs(), t3.realizer, t3.valuation, lambda cands: fs("c2"), 10)
+
+    @pytest.mark.parametrize("doc, chosen, error", [
+        (builtin_t3(), ["a0"], InvalidCandidate),  # not a set
+        (builtin_t3(), fs(), NotHomogeneous),  # no level
+        (builtin_t3(), fs("a0", "b1"), NotHomogeneous),  # two levels
+        (gen_cascade(2, 2, 0), fs("wrong1_0", "wrong1_1"), QuestionConflict),
+    ], ids=["list", "empty", "two-levels", "one-question-twice"])
+    def test_strategy_choosing_a_non_step(self, doc, chosen, error):
+        inst = load_instance(doc)
+        proposals = realize(inst.realizer, inst.valuation, inst.initial)
+        assert set(chosen) <= proposals  # each id is proposed at the root
+        with pytest.raises(error) as err:
+            run(inst.initial, inst.realizer, inst.valuation,
+                lambda cands: chosen, 10)
+        assert isinstance(err.value, InvalidCandidate)
 
     def test_fuel_exhausted_carries_trace(self, t3):
         with pytest.raises(FuelExhausted) as err:
@@ -313,8 +351,9 @@ def test_lemma_checks_evaluate_each_state_atom_once(monkeypatch, doc, budget):
 class TestEdgeChecks:
     def test_all_t3_edges_clean(self, t3):
         tree = explore_tree(fs(), t3.realizer, t3.valuation, check_lemmas=False)
+        records = TruthRecords(t3.valuation)
         for edge in tree.edges:
-            assert check_edge(t3.valuation, edge) == []
+            assert check_edge(t3.valuation, edge, records=records) == []
 
     def test_failure_reported_once_per_distinct_edge(self):
         # x's valuation reads past its level mask, so adding the level-1
@@ -340,9 +379,9 @@ class TestEdgeChecks:
         assert by_paths.check_failures == tree.check_failures * 3
 
     def test_forged_self_step_fails(self, t3):
-        from kspace.engine import ReductionStep
         forged = ReductionStep(fs("a0"), fs("a0"), fs("a0"), 0)
-        assert "no-self-step" in check_edge(t3.valuation, forged)
+        assert "no-self-step" in check_edge(
+            t3.valuation, forged, records=TruthRecords(t3.valuation))
 
 
 class TestTraceExport:

@@ -1,6 +1,6 @@
 import pytest
 
-from kspace.core import Atom, AtomUniverse
+from kspace.core import Atom, AtomUniverse, UnknownAtom
 from kspace.oracle import (
     CLAUSE_ANSWERED,
     CLAUSE_UNTRUE,
@@ -99,6 +99,16 @@ class TestRealize:
         v = Valuation(universe, lambda atom, view: True)
         with pytest.raises(ProposalCapExceeded, match="65 proposals exceed cap 64"):
             realize(r, v, fs())
+
+    def test_unknown_proposal(self, t3):
+        # a document's proposals are checked when it loads; a realizer in
+        # code is checked when its proposals are
+        r = Realizer(t3.universe, lambda view: {"a0", "zz"})
+        with pytest.raises(UnknownAtom, match="unknown atom id 'zz'"):
+            realize(r, t3.valuation, fs())
+        r = Realizer(t3.universe, lambda view: {"a0", 5})
+        with pytest.raises(UnknownAtom, match="unknown atom id 5"):
+            realize(r, t3.valuation, fs())
 
 
 class TestLevelMask:

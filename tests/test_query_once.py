@@ -4,7 +4,8 @@ computed once.
 `StateView.answered` memoizes per view; the property checks that the
 memo never changes an answer, a mask violation or an unknown question.
 The counting guards check the cost: `core.query` is entered at most once
-per (view, question), and `homogeneous_level` once per step or edge.
+per (view, question), and `homogeneous_level` once per step or edge, by
+`apply_step`, the one place a step is checked and its level computed.
 """
 
 import inspect
