@@ -215,18 +215,13 @@ def cmd_explore(args) -> int:
         "distinct_state_count": tree.distinct_state_count,
         "normal_forms": sorted(sorted(n) for n in tree.normal_forms),
         "edges_checked": tree.edges_checked,
-        "check_failures": [
-            {"source": sorted(edge.source), "chosen": sorted(edge.chosen),
-             "check": name}
-            for edge, name in tree.check_failures],
     }
-    lines = [f"node_count: {stats['node_count']}",
-             f"edge_count: {stats['edge_count']}",
-             f"max_depth: {stats['max_depth']}",
-             f"distinct_state_count: {stats['distinct_state_count']}",
-             f"normal_forms: {stats['normal_forms']}",
-             f"edges_checked: {stats['edges_checked']}",
-             f"check_failures: {len(stats['check_failures'])}"]
+    lines = [f"{key}: {value}" for key, value in stats.items()]
+    stats["check_failures"] = [
+        {"source": sorted(edge.source), "chosen": sorted(edge.chosen),
+         "check": name}
+        for edge, name in tree.check_failures]
+    lines.append(f"check_failures: {len(stats['check_failures'])}")
     for failure in stats["check_failures"]:
         lines.append(f"  FAIL {failure['check']} at edge "
                      f"{failure['source']} + {failure['chosen']}")

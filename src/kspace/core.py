@@ -36,14 +36,6 @@ class InvalidState(KspaceError):
 #: universe keeps one level mask per integer level.
 MAX_LEVEL = 1000
 
-# level comparison selectors accepted by `level_restrict`
-_CMP_FUNCS = {
-    "below": lambda lvl, n: lvl < n,
-    "at": lambda lvl, n: lvl == n,
-    "above": lambda lvl, n: lvl > n,
-    "at_or_below": lambda lvl, n: lvl <= n,
-}
-
 State = frozenset
 
 
@@ -181,13 +173,10 @@ def is_state(members: Iterable[str], universe: AtomUniverse) -> bool:
     return True
 
 
-def level_restrict(members: State, cmp: str, n: int, universe: AtomUniverse) -> State:
-    """Subset of the state whose atom levels satisfy ``cmp`` against ``n``."""
-    try:
-        keep = _CMP_FUNCS[cmp]
-    except KeyError:
-        raise ValueError(f"unknown comparison {cmp!r}") from None
-    return frozenset(a for a in members if keep(universe.atom(a).level, n))
+def level_restrict(members: State, n: int, universe: AtomUniverse) -> State:
+    """The members at level <= n: the part of the state a step at level n
+    keeps."""
+    return frozenset(a for a in members if universe.atom(a).level <= n)
 
 
 def homogeneous_level(members: State, universe: AtomUniverse) -> Optional[int]:

@@ -243,7 +243,7 @@ def apply_step(universe: AtomUniverse, members: State,
     if n is None:
         raise NotHomogeneous(f"chosen set {sorted(chosen)} is not homogeneous")
     # a chosen atom already in the state is kept: its question is answered
-    kept = level_restrict(members, "at_or_below", n, universe)
+    kept = level_restrict(members, n, universe)
     questions = {universe.atom(a).question for a in kept}
     for atom_id in chosen:
         question = universe.atom(atom_id).question
@@ -303,18 +303,22 @@ def run(members: State, r: Realizer, v: Valuation,
     chosen set must be a set of the state's proposals; `apply_step` checks
     the rest and raises InvalidCandidate when it is no candidate (the
     proposals answer only open questions, so a set of them is a candidate
-    iff it is a step).  Raises FuelExhausted (with the partial trace) if
-    candidates remain after `fuel` steps.
+    iff it is a step).  Each state is realized once, at the top of the
+    loop: the run ends there when it has no candidates, and raises
+    FuelExhausted (with the partial trace) when it still has some after
+    `fuel` steps.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
     universe = r.universe
     trace: list[ReductionStep] = []
     current = members
-    for _ in range(fuel):
+    while True:
         candidates = _candidates(current, r, v)
         if not candidates:
             return trace, current
+        if len(trace) == fuel:
+            raise FuelExhausted(trace, current)
         chosen = strategy(candidates)
         if not (isinstance(chosen, (set, frozenset))
                 and chosen <= candidates.proposals):
@@ -322,9 +326,6 @@ def run(members: State, r: Realizer, v: Valuation,
         edge = apply_step(universe, current, chosen)
         trace.append(edge)
         current = edge.target
-    if _candidates(current, r, v):
-        raise FuelExhausted(trace, current)
-    return trace, current
 
 
 # ---------------------------------------------------------------------------
@@ -540,14 +541,16 @@ def explore_tree(root: State, r: Realizer, v: Valuation,
 # trace export
 
 def step_record(v: Valuation, index: int, edge: ReductionStep) -> dict:
-    """One exported trace record; field names are part of the interface."""
-    universe = v.universe
-    dropped = level_restrict(edge.source, "above", edge.level, universe)
+    """One exported trace record; field names are part of the interface.
+
+    `edge` is a step `apply_step` built: its target is the source's atoms
+    at levels <= n plus chosen atoms at level n, so its `dropped` atoms,
+    source minus target, are exactly the source's atoms above n."""
     return {
         "step_index": index,
         "level": edge.level,
         "chosen": sorted(edge.chosen),
-        "dropped": sorted(dropped),
+        "dropped": sorted(edge.source - edge.target),
         "state_after": sorted(edge.target),
         "sound_after": is_sound(v, edge.target),
     }

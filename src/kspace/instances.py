@@ -20,6 +20,8 @@ from .core import (
     InvalidState,
     KspaceError,
     State,
+    UnknownAtom,
+    UnknownQuestion,
     is_state,
 )
 from .oracle import PROPOSAL_CAP, Realizer, StateView, Valuation, is_sound
@@ -318,22 +320,18 @@ def _check_reads(universe: AtomUniverse, where: str, atoms: set[str],
                  questions: set[str], level_cap: Optional[int]) -> None:
     """Raise unless every atom and question a condition reads exists and,
     under a level cap, lies strictly below it."""
-    for ref in sorted(atoms):
-        if ref not in universe:
-            raise UnknownReference(f"{where} references unknown atom {ref!r}")
-        level = universe.level(ref)
-        if level_cap is not None and level >= level_cap:
-            raise LevelMaskViolation(
-                f"{where} references atom {ref!r} at level "
-                f"{level}, at or above its own level {level_cap}")
-    for ref in sorted(questions):
-        if ref not in universe.question_index:
-            raise UnknownReference(f"{where} references unknown question {ref!r}")
-        level = universe.question_level(ref)
-        if level_cap is not None and level >= level_cap:
-            raise LevelMaskViolation(
-                f"{where} references question {ref!r} at level "
-                f"{level}, at or above its own level {level_cap}")
+    for kind, refs, level_of in (("atom", atoms, universe.level),
+                                 ("question", questions, universe.question_level)):
+        for ref in sorted(refs):
+            try:
+                level = level_of(ref)
+            except (UnknownAtom, UnknownQuestion):
+                raise UnknownReference(
+                    f"{where} references unknown {kind} {ref!r}") from None
+            if level_cap is not None and level >= level_cap:
+                raise LevelMaskViolation(
+                    f"{where} references {kind} {ref!r} at level "
+                    f"{level}, at or above its own level {level_cap}")
 
 
 def load_instance(doc: InstanceDoc) -> LoadedInstance:

@@ -2,15 +2,19 @@
 level checks ran on bit sets, kept to check that the masks change nothing
 observable.
 
-`check_edge` is the former `engine.check_edge` verbatim.  Each integer
-level costs it four `level_restrict` frozenset filters.
+`check_edge` is the former `engine.check_edge`, with the level filters
+it took from `level_restrict`'s former selectors written out in `lr`.
+Each integer level costs it four frozenset filters.
 """
 
 from __future__ import annotations
 
-from kspace.core import level_restrict
+import operator
+
 from kspace.engine import ReductionStep
 from kspace.oracle import Valuation, is_sound, truth
+
+_CMP = {"below": operator.lt, "at": operator.eq, "at_or_below": operator.le}
 
 
 def check_edge(v: Valuation, edge: ReductionStep) -> list[str]:
@@ -20,7 +24,9 @@ def check_edge(v: Valuation, edge: ReductionStep) -> list[str]:
     fails: list[str] = []
 
     def lr(members, cmp, m):
-        return level_restrict(members, cmp, m, universe)
+        """The members whose level is "below", "at" or "at_or_below" m."""
+        keep = _CMP[cmp]
+        return frozenset(a for a in members if keep(universe.level(a), m))
 
     if not lr(X, "at", n) < lr(Y, "at", n):
         fails.append("at-level-strict-growth")

@@ -75,21 +75,18 @@ class TestIsState:
 
 
 class TestLevelRestrict:
-    def test_below(self, t3_universe):
+    def test_keeps_levels_at_or_below(self, t3_universe):
         X = fs("a0", "b1'", "c2")
-        assert level_restrict(X, "below", 2, t3_universe) == fs("a0", "b1'")
+        assert level_restrict(X, 1, t3_universe) == fs("a0", "b1'")
 
-    def test_at(self, t3_universe):
+    def test_minus_one_keeps_nothing(self, t3_universe):
         X = fs("a0", "b1'", "c2")
-        assert level_restrict(X, "at", 1, t3_universe) == fs("b1'")
+        assert level_restrict(X, -1, t3_universe) == fs()
 
     def test_above_max_is_empty(self, t3_universe):
+        # the top level keeps the whole state: nothing lies above it
         X = fs("a0", "b1'", "c2")
-        assert level_restrict(X, "above", t3_universe.max_level(), t3_universe) == fs()
-
-    def test_unknown_cmp(self, t3_universe):
-        with pytest.raises(ValueError):
-            level_restrict(fs(), "sideways", 0, t3_universe)
+        assert level_restrict(X, t3_universe.max_level(), t3_universe) == X
 
 
 class TestHomogeneousLevel:
@@ -141,15 +138,14 @@ def universe_and_state(draw):
     return universe, frozenset(members)
 
 
-@given(universe_and_state(), st.integers(0, 5))
+@given(universe_and_state(), st.integers(-1, 5))
 def test_restriction_partitions(pair, n):
+    # the cut splits the state into the kept levels <= n and the rest
     universe, X = pair
-    below = level_restrict(X, "below", n, universe)
-    at = level_restrict(X, "at", n, universe)
-    above = level_restrict(X, "above", n, universe)
-    assert below | at == level_restrict(X, "at_or_below", n, universe)
-    assert below | at | above == X
-    assert not (below & at) and not (at & above) and not (below & above)
+    kept = level_restrict(X, n, universe)
+    assert kept <= X
+    for a in X:
+        assert (universe.level(a) <= n) == (a in kept)
 
 
 @given(universe_and_state())
@@ -159,17 +155,23 @@ def test_query_at_most_singleton(pair):
         assert len(query(q, X, universe)) <= 1
 
 
-@given(universe_and_state(), st.integers(0, 5))
+@given(universe_and_state(), st.integers(-1, 5))
 def test_restrict_and_query_outputs_are_states(pair, n):
     universe, X = pair
-    for cmp in ("below", "at", "above", "at_or_below"):
-        assert is_state(level_restrict(X, cmp, n, universe), universe)
+    assert is_state(level_restrict(X, n, universe), universe)
     for q in universe.question_index:
         assert is_state(query(q, X, universe), universe)
 
 
-@given(universe_and_state(), st.integers(0, 5))
+@given(universe_and_state(), st.integers(-1, 5))
 def test_level_masks_match_restriction(pair, n):
     universe, X = pair
-    at = universe.at_level[n] if n < len(universe.at_level) else 0
-    assert universe.bits(X) & at == universe.bits(level_restrict(X, "at", n, universe))
+    top = len(universe.at_level) - 1
+
+    def at_or_below(m):
+        return universe.at_or_below[min(m, top)] if m >= 0 else 0
+
+    at = universe.at_level[n] if 0 <= n <= top else 0
+    kept = universe.bits(level_restrict(X, n, universe))
+    assert universe.bits(X) & at_or_below(n) == kept
+    assert universe.bits(X) & at == kept & ~at_or_below(n - 1)

@@ -397,3 +397,31 @@ class TestTraceExport:
             assert rec["sound_after"] is True
         # the revision step drops the earlier wrong guess
         assert records[1]["dropped"] == ["b1"]
+
+
+DROPPED_DOCS = {
+    "t3": [builtin_t3()],
+    "cascade": [gen_cascade(k, w, s)
+                for k in range(1, 5) for w in (1, 2) for s in range(3)],
+    "random:8,3,10": [gen_random(8, 3, 10, seed) for seed in range(200)],
+}
+
+
+@pytest.mark.parametrize("family", list(DROPPED_DOCS))
+def test_dropped_is_the_source_above_the_step_level(family):
+    # step_record reads `dropped` as source - target; on every edge
+    # apply_step builds, that is the source's atoms above the step's level
+    dropping = 0
+    for doc in DROPPED_DOCS[family]:
+        inst = load_instance(doc)
+        universe = inst.universe
+        tree = explore_tree(inst.initial, inst.realizer, inst.valuation,
+                            max_nodes=10**30, check_lemmas=False)
+        for edge in tree.edges:
+            above = {a for a in edge.source
+                     if universe.atom(a).level > edge.level}
+            assert edge.source - edge.target == above
+            record = step_record(inst.valuation, 0, edge)
+            assert record["dropped"] == sorted(above)
+            dropping += bool(above)
+    assert dropping

@@ -4,10 +4,12 @@ Each public module-level function or class under ``src/kspace`` and each
 public method of such a class must be referenced somewhere under
 ``src/kspace``, outside its own definition and outside ``__init__.py``
 (whose re-exports call nothing).  Only AST references count: a ``Name``,
-or the attribute of an ``Attribute``, and for a method only the latter
-(``obj.name``), since a bare name is a variable or a parameter; an import,
-a comment or a docstring does not.  A name that only the tests use is
-test-only API: delete it, or list it in ALLOWED with the reason it stays.
+or the attribute of an ``Attribute``; an import, a comment or a docstring
+does not.  A method counts as called only through a call ``obj.name(...)``
+(a bare name is a variable or a parameter, and ``obj.name`` alone may be
+a field of that name), and a ``property`` or ``cached_property`` through
+``obj.name``.  A name that only the tests use is test-only API: delete
+it, or list it in ALLOWED with the reason it stays.
 """
 
 import ast
@@ -22,32 +24,44 @@ ALLOWED = {
     "core.AtomUniverse.max_level":
         "tests/reference_checks.py, the reference the per-edge checks are "
         "compared against, bounds its level loop with it",
+    "core.AtomUniverse.atoms":
+        "the public listing of a universe's atoms; tests/reference_checks.py "
+        "walks it",
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_PROPERTIES = {"property", "cached_property"}
 
 
 def _public_definitions(module: str, tree: ast.Module):
-    """(qualified name, node, whether it is a method) of each public
-    module-level function or class and of each public method of such a
-    class."""
+    """(qualified name, node, the ways a reference may count) of each
+    public module-level function or class and of each public method of
+    such a class."""
     for node in tree.body:
         if isinstance(node, _DEFS) and not node.name.startswith("_"):
-            yield f"{module}.{node.name}", node, False
+            yield f"{module}.{node.name}", node, {"name", "attribute", "call"}
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if (isinstance(item, _DEFS[:2])
                             and not item.name.startswith("_")):
-                        yield f"{module}.{node.name}.{item.name}", item, True
+                        prop = any(
+                            getattr(d, "id", getattr(d, "attr", None))
+                            in _PROPERTIES for d in item.decorator_list)
+                        yield (f"{module}.{node.name}.{item.name}", item,
+                               {"attribute", "call"} if prop else {"call"})
 
 
 def _references(node: ast.AST, enclosing: frozenset = frozenset()):
-    """(referenced name, whether it is an attribute, ids of the definitions
-    enclosing the reference) for each Name and Attribute under `node`."""
+    """(referenced name, how it is referenced, ids of the definitions
+    enclosing the reference) for each Name ("name") and Attribute
+    ("attribute") under `node`, and once more as "call" for an Attribute
+    that is called."""
     if isinstance(node, ast.Name):
-        yield node.id, False, enclosing
+        yield node.id, "name", enclosing
     elif isinstance(node, ast.Attribute):
-        yield node.attr, True, enclosing
+        yield node.attr, "attribute", enclosing
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        yield node.func.attr, "call", enclosing
     if isinstance(node, _DEFS):
         enclosing = enclosing | {id(node)}
     for child in ast.iter_child_nodes(node):
@@ -63,10 +77,10 @@ def _uncalled() -> list[str]:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         definitions.extend(_public_definitions(path.stem, tree))
         references.extend(_references(tree))
-    return [qualified for qualified, node, method in definitions
+    return [qualified for qualified, node, counts in definitions
             if not any(name == node.name and id(node) not in enclosing
-                       and (attribute or not method)
-                       for name, attribute, enclosing in references)]
+                       and how in counts
+                       for name, how, enclosing in references)]
 
 
 def test_every_public_name_has_a_caller_in_the_program():
