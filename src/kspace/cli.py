@@ -214,7 +214,7 @@ def cmd_explore(args) -> int:
         "max_depth": tree.max_depth,
         "distinct_state_count": tree.distinct_state_count,
         "normal_forms": sorted(sorted(n) for n in tree.normal_forms),
-        "edges_checked": tree.edges_checked,
+        "edges_checked": tree.edge_count if args.check_lemmas else 0,
     }
     lines = [f"{key}: {value}" for key, value in stats.items()]
     stats["check_failures"] = [
@@ -327,8 +327,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     # What a command builds (compiled closures, views, frozensets, trees)
     # holds no reference cycles, so reference counting frees it, and the
     # cyclic collector is paused for the command, as Mercurial's `util.nogc`
-    # does.  A `random:` spec leaves one small cycle (`gen_random`'s
-    # recursive helper) to the next collection.
+    # does.
     gc_enabled = gc.isenabled()
     gc.disable()
     try:

@@ -44,7 +44,6 @@ class Atom:
     id: str
     question: str
     level: int
-    label: Optional[str] = None
 
 
 class AtomUniverse:

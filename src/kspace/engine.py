@@ -68,11 +68,12 @@ class FuelExhausted(KspaceError):
 
 
 class BudgetExceeded(KspaceError):
-    """Base for explorer budget errors; carries a shortest root path to the
-    offending state and the partial graph."""
+    """Base for explorer budget errors; carries the partial graph and
+    `branch`, its shortest root path to the offending state
+    (`partial.path(branch[-1])`).  A partial graph is never complete."""
 
     def __init__(self, message: str, branch: list[State],
-                 partial: Optional["ReductionTree"] = None):
+                 partial: "ReductionTree"):
         self.branch = branch
         self.partial = partial
         super().__init__(message)
@@ -96,23 +97,20 @@ class ReductionStep:
 
 @dataclass
 class ReductionTree:
-    """The reduction graph reachable from `root`, with the figures of the
+    """The reduction graph reachable from a root, with the figures of the
     tree that unfolds it into one node per path.
 
-    `states` and `edges` list each distinct state and step once, in
-    discovery order.  `node_count`, `edge_count` and `edges_checked` count
-    paths: tree nodes, tree edges and edges checked as if on every path.
-    `violations` maps each state to its `Proposals.violation`, if any.
+    `parent` maps each distinct state, in discovery order, to the state it
+    was first reached from (the root maps to None); `successors` maps each
+    expanded state, in expansion order, to its steps.  `node_count` and
+    `edge_count` count paths: tree nodes and tree edges.  `violations` maps
+    each state to its `Proposals.violation`, if any.
     """
 
-    root: State
-    states: list[State] = field(default_factory=list)
-    edges: list[ReductionStep] = field(default_factory=list)
-    normal_forms: set[State] = field(default_factory=set)
+    parent: dict[State, Optional[State]]
+    successors: dict[State, list[ReductionStep]] = field(default_factory=dict)
     node_count: int = 1
     max_depth: int = 0
-    complete: bool = True
-    edges_checked: int = 0
     check_failures: list[tuple[ReductionStep, str]] = field(default_factory=list)
     violations: dict[State, tuple[str, str]] = field(default_factory=dict)
 
@@ -122,7 +120,20 @@ class ReductionTree:
 
     @property
     def distinct_state_count(self) -> int:
-        return len(self.states)
+        return len(self.parent)
+
+    @property
+    def normal_forms(self) -> set[State]:
+        """The expanded states that have no steps."""
+        return {state for state, edges in self.successors.items() if not edges}
+
+    def path(self, state: State) -> list[State]:
+        """A shortest path from the root to `state`, both included."""
+        rev = []
+        while state is not None:
+            rev.append(state)
+            state = self.parent[state]
+        return rev[::-1]
 
 
 class Candidates(Sequence):
@@ -458,22 +469,22 @@ def explore_tree(root: State, r: Realizer, v: Valuation,
     built once and each (state, atom) pair is evaluated at most once per
     exploration.  The step relation is acyclic
     (a step keeps the levels below n and strictly grows level n), so the
-    walk ends.
+    walk ends.  The graph is written straight into the returned tree:
+    each state's first parent into `parent`, each state's steps into
+    `successors`.
 
     Raises DepthExceeded when a reducible state sits at depth
     `fuel_depth`, and NodeBudgetExceeded when the tree through the next
-    depth would have more than `max_nodes` nodes.  Both carry a shortest
-    root path to the offending state and the partial graph.
+    depth would have more than `max_nodes` nodes.  Both carry the partial
+    graph and its `path` to the offending state.
     """
     universe = r.universe
-    tree = ReductionTree(root=root, states=[root])
-    parent: dict[State, Optional[State]] = {root: None}
-    successors: dict[State, list[ReductionStep]] = {}
+    tree = ReductionTree(parent={root: None})
     records = TruthRecords(v) if check_lemmas else None
 
     def expand(members: State) -> list[ReductionStep]:
         try:
-            return successors[members]
+            return tree.successors[members]
         except KeyError:
             pass
         candidates = _candidates(members, r, v)
@@ -488,50 +499,31 @@ def explore_tree(root: State, r: Realizer, v: Valuation,
             for edge in edges:
                 for name in check_edge(v, edge, records=records):
                     tree.check_failures.append((edge, name))
-        successors[members] = edges
-        tree.edges.extend(edges)
+        tree.successors[members] = edges
         return edges
-
-    def branch(state: Optional[State]) -> list[State]:
-        rev = []
-        while state is not None:
-            rev.append(state)
-            state = parent[state]
-        return rev[::-1]
 
     # state -> number of root paths reaching it at the current depth
     frontier: dict[State, int] = {root: 1}
     while True:
-        reducible = []
-        for state in frontier:
-            if expand(state):
-                reducible.append(state)
-            else:
-                tree.normal_forms.add(state)
+        reducible = [state for state in frontier if expand(state)]
         if not reducible:
             return tree
         if tree.max_depth >= fuel_depth:
-            tree.complete = False
             raise DepthExceeded(
                 f"branch still reducible at depth {fuel_depth}",
-                branch(reducible[0]), tree)
+                tree.path(reducible[0]), tree)
         nodes = tree.node_count
         next_frontier: dict[State, int] = {}
         for state in reducible:
             paths = frontier[state]
-            nodes += paths * len(successors[state])
+            nodes += paths * len(tree.successors[state])
             if nodes > max_nodes:
-                tree.complete = False
                 raise NodeBudgetExceeded(
-                    f"more than {max_nodes} tree nodes", branch(state), tree)
-            for edge in successors[state]:
+                    f"more than {max_nodes} tree nodes", tree.path(state), tree)
+            for edge in tree.successors[state]:
                 child = edge.target
                 next_frontier[child] = next_frontier.get(child, 0) + paths
-                if child not in parent:
-                    parent[child] = state
-                    tree.states.append(child)
-        if check_lemmas:
-            tree.edges_checked += nodes - tree.node_count
+                tree.parent.setdefault(child, state)
         tree.node_count = nodes
         tree.max_depth += 1
         frontier = next_frontier

@@ -350,8 +350,7 @@ def load_instance(doc: InstanceDoc) -> LoadedInstance:
     listed = []
     for entry in doc.atoms:
         _check_atom(entry)
-        listed.append(Atom(entry["id"], entry["question"], entry["level"],
-                           entry.get("label")))
+        listed.append(Atom(entry["id"], entry["question"], entry["level"]))
     # (atom id, condition, atom ids read, question ids read)
     truth: list[tuple[str, Condition, set[str], set[str]]] = []
     for rule in doc.truth_rules:
@@ -454,10 +453,8 @@ def builtin_argmin(points: list[int]) -> LoadedInstance:
     if len(points) > ARGMIN_MAX_POINTS:
         raise InstanceError(f"at most {ARGMIN_MAX_POINTS} points supported")
 
-    atoms = [Atom(f"e{n}", f"q_e{n}", 0, label=f"value at {n} evaluated")
-             for n in range(len(points))]
-    atoms += [Atom(f"w{m}", "q_w", 1, label=f"{m} is the argmin")
-              for m in range(len(points))]
+    atoms = [Atom(f"e{n}", f"q_e{n}", 0) for n in range(len(points))]
+    atoms += [Atom(f"w{m}", "q_w", 1) for m in range(len(points))]
     universe = AtomUniverse(atoms)
 
     def evaluate(atom: Atom, view: StateView) -> bool:
@@ -547,6 +544,23 @@ def gen_cascade(depth: int, width: int, seed: int) -> InstanceDoc:
                        realizer_rules=realizer_rules, initial=[])
 
 
+def _rand_expr(rng: random.Random, pool: list[dict], depth: int) -> dict:
+    """A random condition of nesting depth at most `depth` over the atoms
+    of `pool`."""
+    if not pool or depth == 0 or rng.random() < 0.25:
+        if pool and rng.random() < 0.8:
+            picked = rng.choice(pool)
+            if rng.random() < 0.5:
+                return {"present": picked["id"]}
+            return {"answered": picked["question"]}
+        return {"const": rng.random() < 0.7}
+    op = rng.choice(["not", "and", "or"])
+    if op == "not":
+        return {"not": _rand_expr(rng, pool, depth - 1)}
+    return {op: [_rand_expr(rng, pool, depth - 1)
+                 for _ in range(rng.randint(1, 3))]}
+
+
 def gen_random(n_atoms: int, max_level: int, n_rules: int, seed: int) -> InstanceDoc:
     """Seeded random instance for fuzzing.
 
@@ -574,25 +588,11 @@ def gen_random(n_atoms: int, max_level: int, n_rules: int, seed: int) -> Instanc
                           "level": level})
         question += 1
 
-    def rand_expr(pool: list[dict], depth: int) -> dict:
-        if not pool or depth == 0 or rng.random() < 0.25:
-            if pool and rng.random() < 0.8:
-                picked = rng.choice(pool)
-                if rng.random() < 0.5:
-                    return {"present": picked["id"]}
-                return {"answered": picked["question"]}
-            return {"const": rng.random() < 0.7}
-        op = rng.choice(["not", "and", "or"])
-        if op == "not":
-            return {"not": rand_expr(pool, depth - 1)}
-        return {op: [rand_expr(pool, depth - 1)
-                     for _ in range(rng.randint(1, 3))]}
-
     truth_exprs: dict[str, dict] = {}
     truth_rules: list[dict] = []
     for atom in atoms:
         lower = [a for a in atoms if a["level"] < atom["level"]]
-        expr = rand_expr(lower, 2) if rng.random() < 0.9 else None
+        expr = _rand_expr(rng, lower, 2) if rng.random() < 0.9 else None
         if expr is None:
             continue
         truth_exprs[atom["id"]] = expr
@@ -622,7 +622,7 @@ def gen_random(n_atoms: int, max_level: int, n_rules: int, seed: int) -> Instanc
             for q in rng.sample(pool, k=min(rng.randint(1, 2), len(pool))):
                 conjuncts.append({"answered": q})
         if rng.random() < 0.3:
-            conjuncts.append(rand_expr(atoms, 1))
+            conjuncts.append(_rand_expr(rng, atoms, 1))
         realizer_rules.append({"condition": {"and": conjuncts},
                                "propose": sorted(a["id"] for a in chosen)})
 

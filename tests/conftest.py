@@ -25,3 +25,8 @@ def mask_equation_holds(v, atom_id, members):
     level = universe.level(atom_id)
     masked = frozenset(a for a in members if universe.level(a) < level)
     return truth(v, atom_id, members) == truth(v, atom_id, masked)
+
+
+def edges_of(tree):
+    """Each distinct step of an explored tree once, in expansion order."""
+    return [edge for edges in tree.successors.values() for edge in edges]

@@ -148,8 +148,7 @@ def load_instance(doc: InstanceDoc) -> LoadedInstance:
     listed = []
     for entry in doc.atoms:
         _check_atom(entry)
-        listed.append(Atom(entry["id"], entry["question"], entry["level"],
-                           entry.get("label")))
+        listed.append(Atom(entry["id"], entry["question"], entry["level"]))
     try:
         universe = AtomUniverse(listed)
     except InvalidState as exc:

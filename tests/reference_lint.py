@@ -76,7 +76,7 @@ def cmd_lint(args) -> int:
     # lint reads only the reachable states, never the lemma verdicts
     tree = _explore(args, inst, check_lemmas=False)
     violations = []
-    for state in sorted(tree.states, key=sorted):
+    for state in sorted(tree.parent, key=sorted):
         try:
             realize(inst.realizer, inst.valuation, state, mode="strict")
         except ContractViolation as exc:

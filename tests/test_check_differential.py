@@ -11,6 +11,7 @@ from kspace.instances import builtin_t3, gen_cascade, gen_random, load_instance
 from kspace.oracle import Valuation
 
 import reference_checks
+from conftest import edges_of
 from test_acceptance import _fuzz_params
 
 CASES = [("t3", builtin_t3(), {})]
@@ -31,7 +32,7 @@ def test_matches_reference(doc, budget):
     inst = load_instance(doc)
     v = inst.valuation
     tree = explore_tree(inst.initial, inst.realizer, v, check_lemmas=False, **budget)
-    for edge in tree.edges:
+    for edge in edges_of(tree):
         assert check_edge(v, edge, records=TruthRecords(v)) \
             == reference_checks.check_edge(v, edge)
         # a step strictly grows its level, so the reversed step never does

@@ -170,6 +170,7 @@ def test_gc_is_paused_during_a_command(restore_gc, monkeypatch):
     ["lint", str(BREACH_DOC), "--format", "json"],
     ["run", "cascade:4,2,1", "--format", "json"],
     ["run", "argmin:5,3,7,3,9"],
+    ["run", "random:8,3,10,1"],
     ["validate", "cascade:1,2"],
     ["explore", "t3", "--max-nodes", "2"],
 ], ids=lambda argv: " ".join(argv).replace(str(BREACH_DOC), "breach.json"))

@@ -37,8 +37,8 @@ def test_matches_reference(doc, budget):
     tree = explore_tree(inst.initial, inst.realizer, inst.valuation,
                         check_lemmas=False, **budget)
     ref_tree = explore_tree(inst.initial, ref_r, ref_v, check_lemmas=False, **budget)
-    assert tree.states == ref_tree.states
-    for state in tree.states:
+    assert list(tree.parent) == list(ref_tree.parent)
+    for state in tree.parent:
         for atom in universe.atoms():
             assert truth(inst.valuation, atom.id, state) is truth(ref_v, atom.id, state)
         view = StateView(universe, state)

@@ -1,3 +1,4 @@
+import functools
 from collections import Counter
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from kspace import engine
 from kspace.core import Atom, AtomUniverse
 from kspace.engine import (
+    BudgetExceeded,
     CandidateExplosion,
     Candidates,
     DepthExceeded,
@@ -28,7 +30,7 @@ from kspace.engine import (
 from kspace.instances import builtin_t3, gen_cascade, gen_random, load_instance
 from kspace.oracle import Realizer, Valuation, realize, truth
 
-from conftest import fs
+from conftest import edges_of, fs
 from reference_explorer import enumerate_candidates, explore_tree_by_paths
 from test_acceptance import _fuzz_params
 
@@ -267,13 +269,12 @@ class TestExploreTree:
         assert tree.max_depth == 4
         assert tree.distinct_state_count == 5
         assert tree.normal_forms == {T3_NORMAL_FORM}
-        assert tree.edges_checked == 7
         assert tree.check_failures == []
 
     def test_prefixed_root_is_single_node(self, t3):
         tree = explore_tree(T3_NORMAL_FORM, t3.realizer, t3.valuation)
         assert tree.node_count == 1 and tree.edge_count == 0
-        assert tree.complete and tree.max_depth == 0
+        assert tree.max_depth == 0
 
     def test_depth_budget(self, t3):
         with pytest.raises(DepthExceeded) as err:
@@ -281,11 +282,13 @@ class TestExploreTree:
         assert err.value.branch[0] == fs()
 
     def test_budget_partial_is_incomplete(self, t3):
-        assert explore_tree(fs(), t3.realizer, t3.valuation).complete
         with pytest.raises(DepthExceeded) as err:
             explore_tree(fs(), t3.realizer, t3.valuation, fuel_depth=2)
-        assert err.value.partial.complete is False
-        assert err.value.partial.max_depth == 2
+        partial = err.value.partial
+        assert partial.max_depth == 2
+        # steps lead out of the partial graph to states it never expanded
+        assert any(edge.target not in partial.successors
+                   for edge in edges_of(partial))
 
     def test_node_budget(self, t3):
         with pytest.raises(NodeBudgetExceeded):
@@ -296,7 +299,7 @@ class TestExploreTree:
         inst = load_instance(gen_cascade(8, 3, 0))
         tree = explore_tree(fs(), inst.realizer, inst.valuation)
         assert tree.node_count == 655_360
-        assert tree.edges_checked == tree.edge_count == 655_359
+        assert tree.edge_count == 655_359
         assert tree.distinct_state_count == 34
         assert len(tree.normal_forms) == 1
         assert tree.check_failures == []
@@ -314,7 +317,7 @@ class TestExploreTree:
 
     def test_run_traces_are_tree_paths(self, t3):
         tree = explore_tree(fs(), t3.realizer, t3.valuation)
-        edges = set(tree.edges)
+        edges = set(edges_of(tree))
         for name in STRATEGY_NAMES:
             trace, final = run(fs(), t3.realizer, t3.valuation,
                                make_strategy(name, seed=11), 10)
@@ -344,7 +347,7 @@ def test_lemma_checks_evaluate_each_state_atom_once(monkeypatch, doc, budget):
     monkeypatch.setattr(engine, "truth", counted)
     tree = explore_tree(inst.initial, inst.realizer, inst.valuation,
                         check_lemmas=True, **budget)
-    assert bool(evaluated) == bool(tree.edges)
+    assert bool(evaluated) == bool(edges_of(tree))
     assert [pair for pair, calls in evaluated.items() if calls > 1] == []
 
 
@@ -352,7 +355,7 @@ class TestEdgeChecks:
     def test_all_t3_edges_clean(self, t3):
         tree = explore_tree(fs(), t3.realizer, t3.valuation, check_lemmas=False)
         records = TruthRecords(t3.valuation)
-        for edge in tree.edges:
+        for edge in edges_of(tree):
             assert check_edge(t3.valuation, edge, records=records) == []
 
     def test_failure_reported_once_per_distinct_edge(self):
@@ -371,10 +374,10 @@ class TestEdgeChecks:
             universe, lambda atom, view: atom.id != "x" or "z" not in view._members)
         r = Realizer(universe, propose)
         tree = explore_tree(fs(), r, forged)
-        edge = next(e for e in tree.edges if e.chosen == fs("z"))
+        edge = next(e for e in edges_of(tree) if e.chosen == fs("z"))
         assert tree.check_failures == [(edge, "soundness-preserved"),
                                        (edge, "truth-stability[x]")]
-        assert tree.node_count == 9 and tree.edges_checked == 8
+        assert tree.node_count == 9
         by_paths = explore_tree_by_paths(fs(), r, forged)
         assert by_paths.check_failures == tree.check_failures * 3
 
@@ -417,7 +420,7 @@ def test_dropped_is_the_source_above_the_step_level(family):
         universe = inst.universe
         tree = explore_tree(inst.initial, inst.realizer, inst.valuation,
                             max_nodes=10**30, check_lemmas=False)
-        for edge in tree.edges:
+        for edge in edges_of(tree):
             above = {a for a in edge.source
                      if universe.atom(a).level > edge.level}
             assert edge.source - edge.target == above
@@ -425,3 +428,56 @@ def test_dropped_is_the_source_above_the_step_level(family):
             assert record["dropped"] == sorted(above)
             dropping += bool(above)
     assert dropping
+
+
+def _bfs_depths(successors, root):
+    """Each state's least number of steps from `root`, by a plain
+    breadth-first search over the steps."""
+    depth = {root: 0}
+    queue = [root]
+    for state in queue:
+        for edge in successors.get(state, ()):
+            if edge.target not in depth:
+                depth[edge.target] = depth[state] + 1
+                queue.append(edge.target)
+    return depth
+
+
+def _assert_root_paths(tree):
+    """Checks `path` on every state of `tree` and returns the depths;
+    a partial tree's steps reach states past the ones it recorded."""
+    root = next(iter(tree.parent))
+    depth = _bfs_depths(tree.successors, root)
+    steps = {(e.source, e.target) for e in edges_of(tree)}
+    assert tree.parent.keys() <= depth.keys()
+    for state in tree.parent:
+        path = tree.path(state)
+        assert path[0] == root and path[-1] == state
+        assert all(pair in steps for pair in zip(path, path[1:]))
+        assert len(path) == depth[state] + 1
+    return depth
+
+
+@pytest.mark.parametrize("family", list(DROPPED_DOCS))
+def test_path_is_a_shortest_root_path(family):
+    budget_errors = 0
+    for doc in DROPPED_DOCS[family]:
+        inst = load_instance(doc)
+        explore = functools.partial(explore_tree, inst.initial, inst.realizer,
+                                    inst.valuation, check_lemmas=False)
+        tree = explore(max_nodes=10**30)
+        assert _assert_root_paths(tree).keys() == tree.parent.keys()
+        budgets = []
+        if tree.max_depth:
+            budgets.append({"fuel_depth": tree.max_depth - 1,
+                            "max_nodes": 10**30})
+        if tree.node_count > 1:
+            budgets.append({"max_nodes": tree.node_count - 1})
+        for budget in budgets:
+            with pytest.raises(BudgetExceeded) as err:
+                explore(**budget)
+            exc = err.value
+            assert exc.branch == exc.partial.path(exc.branch[-1])
+            _assert_root_paths(exc.partial)
+            budget_errors += 1
+    assert budget_errors

@@ -9,7 +9,7 @@ from kspace.instances import builtin_t3, gen_cascade, gen_random, load_instance
 from kspace.oracle import Valuation
 
 import reference_checks
-from conftest import fs
+from conftest import edges_of, fs
 from reference_explorer import explore_tree_by_paths
 from test_acceptance import _fuzz_params
 from test_check_differential import _parity_valuation
@@ -17,14 +17,15 @@ from test_check_differential import _parity_valuation
 
 def _stats(tree):
     return (tree.node_count, tree.edge_count, tree.max_depth,
-            tree.distinct_state_count, tree.normal_forms, tree.edges_checked,
-            tree.complete)
+            tree.distinct_state_count, tree.normal_forms)
 
 
 def _assert_same_graph(graph, paths):
     assert _stats(graph) == _stats(paths)
-    assert graph.states == list(dict.fromkeys(n.state for n in paths.nodes))
-    assert graph.edges == list(dict.fromkeys(paths.edges))
+    # the reference checks each edge once per path through it
+    assert paths.edges_checked == graph.edge_count
+    assert list(graph.parent) == list(dict.fromkeys(n.state for n in paths.nodes))
+    assert edges_of(graph) == list(dict.fromkeys(paths.edges))
     assert len(set(graph.check_failures)) == len(graph.check_failures)
     assert set(graph.check_failures) == set(paths.check_failures)
 
@@ -74,10 +75,10 @@ def test_budget_sweep_matches_reference(doc):
             continue
         # a shortest root path along explored edges; a depth error names
         # the same state as the reference
-        assert not graph.partial.complete
+        assert graph.branch == graph.partial.path(graph.branch[-1])
         assert graph.branch[0] == fs()
         assert len(graph.branch) <= len(paths.branch)
-        steps = {(e.source, e.target) for e in graph.partial.edges}
+        steps = {(e.source, e.target) for e in edges_of(graph.partial)}
         assert all(pair in steps for pair in zip(graph.branch, graph.branch[1:]))
         if budget.get("fuel_depth") is not None:
             assert graph.branch[-1] == paths.branch[-1]
@@ -123,6 +124,6 @@ def test_unmasked_forger_fails_checks():
                          ids=[name for name, _, _ in FORGED_CASES])
 def test_forged_valuation_failures_match_reference(doc, budget, forger):
     v, tree = _forged_tree(doc, budget, forger)
-    for edge in tree.edges:
+    for edge in edges_of(tree):
         found = [name for e, name in tree.check_failures if e == edge]
         assert found == reference_checks.check_edge(v, edge)

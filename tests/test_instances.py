@@ -289,13 +289,13 @@ class TestT3Dynamics:
     def test_every_visited_state_is_sound(self):
         inst = load_instance(builtin_t3())
         tree = explore_tree(fs(), inst.realizer, inst.valuation)
-        for state in tree.states:
+        for state in tree.parent:
             assert is_sound(inst.valuation, state)
 
     def test_level_mask_holds_everywhere(self):
         inst = load_instance(builtin_t3())
         tree = explore_tree(fs(), inst.realizer, inst.valuation)
-        for state in tree.states:
+        for state in tree.parent:
             for atom in inst.universe.atoms():
                 assert mask_equation_holds(inst.valuation, atom.id, state)
 
@@ -377,7 +377,7 @@ class TestGenRandom:
             inst = load_instance(gen_random(10, 3, 10, seed))
             tree = explore_tree(fs(), inst.realizer, inst.valuation,
                                 check_lemmas=False)
-            for state in tree.states:
+            for state in tree.parent:
                 assert realize(inst.realizer, inst.valuation, state).violation is None
 
     def test_parameter_caps(self):

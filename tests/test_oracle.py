@@ -125,7 +125,7 @@ class TestLevelMask:
     def test_holds_on_all_t3_atoms_and_reachable_states(self, t3):
         from kspace.engine import explore_tree
         tree = explore_tree(fs(), t3.realizer, t3.valuation, check_lemmas=False)
-        for state in tree.states:
+        for state in tree.parent:
             for atom in t3.universe.atoms():
                 assert mask_equation_holds(t3.valuation, atom.id, state)
 

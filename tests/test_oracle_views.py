@@ -40,7 +40,7 @@ CASES += [(f"fuzz:{seed}", lambda seed=seed: load_instance(
 
 def _explored(inst, budget):
     return explore_tree(inst.initial, inst.realizer, inst.valuation,
-                        check_lemmas=False, **budget).states
+                        check_lemmas=False, **budget).parent
 
 
 def _mask_probe(universe, catch):

@@ -21,6 +21,8 @@ from kspace.engine import STRATEGY_NAMES, explore_tree, make_strategy, run
 from kspace.instances import builtin_t3, gen_cascade, gen_random, load_instance
 from kspace.oracle import MaskViolation, StateView
 
+from conftest import edges_of
+
 
 @st.composite
 def _view_cases(draw):
@@ -107,8 +109,8 @@ def level_calls(monkeypatch):
 def test_homogeneous_level_once_per_explored_edge(level_calls):
     inst = load_instance(gen_cascade(6, 2, 0))
     tree = explore_tree(inst.initial, inst.realizer, inst.valuation)
-    assert tree.edges
-    assert len(level_calls) == len(tree.edges)
+    assert edges_of(tree)
+    assert len(level_calls) == len(edges_of(tree))
 
 
 @pytest.mark.parametrize("name", STRATEGY_NAMES)

@@ -62,8 +62,8 @@ def test_matches_reference(doc, fuel, explore):
             _assert_agrees(inst, ref, state)
     if not explore:
         return
-    states = explore_tree(inst.initial, ref, inst.valuation, check_lemmas=False,
-                          fuel_depth=fuel, max_nodes=300_000).states
+    states = list(explore_tree(inst.initial, ref, inst.valuation, check_lemmas=False,
+                               fuel_depth=fuel, max_nodes=300_000).parent)
     shuffled = states.copy()
     random.Random(0).shuffle(shuffled)
     for order in (states, states[::-1], shuffled):
@@ -92,7 +92,7 @@ def test_any_state_sequence_matches_reference(n_atoms, max_level, n_rules, seed,
 
 def _t3_states():
     inst = load_instance(builtin_t3())
-    return explore_tree(inst.initial, inst.realizer, inst.valuation).states
+    return list(explore_tree(inst.initial, inst.realizer, inst.valuation).parent)
 
 
 def test_masked_view_raises_and_leaves_the_memo_valid():

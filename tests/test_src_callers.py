@@ -10,6 +10,11 @@ does not.  A method counts as called only through a call ``obj.name(...)``
 a field of that name), and a ``property`` or ``cached_property`` through
 ``obj.name``.  A name that only the tests use is test-only API: delete
 it, or list it in ALLOWED with the reason it stays.
+
+Each field of a ``@dataclass`` under ``src/kspace`` must likewise be read
+there: an ``obj.name`` in load context.  A store such as
+``tree.node_count = nodes`` does not count, so a field that is only
+written is flagged.
 """
 
 import ast
@@ -81,6 +86,37 @@ def _uncalled() -> list[str]:
             if not any(name == node.name and id(node) not in enclosing
                        and how in counts
                        for name, how, enclosing in references)]
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+        == "dataclass" for d in node.decorator_list)
+
+
+def _unread_fields() -> list[str]:
+    """The qualified names of the dataclass fields that nothing under
+    src/kspace reads."""
+    fields, reads = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields.extend(
+                    (f"{path.stem}.{node.name}.{item.target.id}", item.target.id)
+                    for item in node.body if isinstance(item, ast.AnnAssign))
+        reads.update(node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute)
+                     and isinstance(node.ctx, ast.Load))
+    return [qualified for qualified, name in fields if name not in reads]
+
+
+def test_every_dataclass_field_is_read_in_the_program():
+    unread = _unread_fields()
+    assert unread == [], (
+        f"dataclass fields that nothing under src/kspace reads: {unread}")
 
 
 def test_every_public_name_has_a_caller_in_the_program():
