@@ -119,6 +119,19 @@ class AtomUniverse:
     def level(self, atom_id: str) -> int:
         return self.atom(atom_id).level
 
+    def known_below(self, atoms: Iterable[str], questions: Iterable[str],
+                    cap: int = MAX_LEVEL + 1) -> bool:
+        """True iff every atom and question id given is known and at a level
+        below `cap` (by default any level): one table lookup per id."""
+        for atom_id in atoms:
+            atom = self._atoms.get(atom_id)
+            if atom is None or atom.level >= cap:
+                return False
+        for question in questions:
+            if self._question_levels.get(question, cap) >= cap:
+                return False
+        return True
+
     def max_level(self) -> int:
         return self._max_level
 

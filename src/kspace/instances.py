@@ -98,45 +98,49 @@ def compile_expr(expr, atoms: set[str], questions: set[str],
             f"condition nested more than {MAX_CONDITION_DEPTH} levels deep")
     if not isinstance(expr, dict) or len(expr) != 1:
         raise SchemaError(f"condition must be a single-key object, got {_shown(expr)}")
-    ((key, value),) = expr.items()
+    # keys in order of how often conditions use them
+    (key,) = expr
+    value = expr[key]
+    if key == "answered":
+        if not isinstance(value, str):
+            raise SchemaError("answered takes an id string")
+        questions.add(value)
+        return lambda view: view.answered(value)
+    if key in ("and", "or"):
+        if not isinstance(value, list):
+            raise SchemaError(f"{key} takes a list of conditions")
+        # a loop, not a comprehension: on Python 3.11 a comprehension is one
+        # more frame per node, which load time shows
+        subs = []
+        for sub in value:
+            subs.append(compile_expr(sub, atoms, questions, depth + 1))
+        if key == "and":
+            def conjunction(view: StateView) -> bool:
+                for sub in subs:
+                    if not sub(view):
+                        return False
+                return True
+            return conjunction
+
+        def disjunction(view: StateView) -> bool:
+            for sub in subs:
+                if sub(view):
+                    return True
+            return False
+        return disjunction
+    if key == "not":
+        inner = compile_expr(value, atoms, questions, depth + 1)
+        return lambda view: not inner(view)
+    if key == "present":
+        if not isinstance(value, str):
+            raise SchemaError("present takes an id string")
+        atoms.add(value)
+        return lambda view: view.present(value)
     if key == "const":
         if not isinstance(value, bool):
             raise SchemaError("const takes a boolean")
         return lambda view: value
-    if key in ("present", "answered"):
-        if not isinstance(value, str):
-            raise SchemaError(f"{key} takes an id string")
-        if key == "present":
-            atoms.add(value)
-            return lambda view: view.present(value)
-        questions.add(value)
-        return lambda view: view.answered(value)
-    if key == "not":
-        inner = compile_expr(value, atoms, questions, depth + 1)
-        return lambda view: not inner(view)
-    if key not in ("and", "or"):
-        raise SchemaError(f"unknown condition key {_shown(key)}")
-    if not isinstance(value, list):
-        raise SchemaError(f"{key} takes a list of conditions")
-    # a loop, not a comprehension: on Python 3.11 a comprehension is one
-    # more frame per node, which load time shows
-    subs = []
-    for sub in value:
-        subs.append(compile_expr(sub, atoms, questions, depth + 1))
-    if key == "and":
-        def conjunction(view: StateView) -> bool:
-            for sub in subs:
-                if not sub(view):
-                    return False
-            return True
-        return conjunction
-
-    def disjunction(view: StateView) -> bool:
-        for sub in subs:
-            if sub(view):
-                return True
-        return False
-    return disjunction
+    raise SchemaError(f"unknown condition key {_shown(key)}")
 
 
 def eval_expr(cond: Condition, view: StateView) -> bool:
@@ -318,8 +322,9 @@ def _compiled(expr) -> tuple[Condition, set[str], set[str]]:
 
 def _check_reads(universe: AtomUniverse, where: str, atoms: set[str],
                  questions: set[str], level_cap: Optional[int]) -> None:
-    """Raise unless every atom and question a condition reads exists and,
-    under a level cap, lies strictly below it."""
+    """Raise at the first atom, then question, in id order that a condition
+    reads but that is unknown or, under a level cap, not strictly below it.
+    Run only on a rule that `AtomUniverse.known_below` rejects."""
     for kind, refs, level_of in (("atom", atoms, universe.level),
                                  ("question", questions, universe.question_level)):
         for ref in sorted(refs):
@@ -377,10 +382,13 @@ def load_instance(doc: InstanceDoc) -> LoadedInstance:
             raise DuplicateTruthRule(f"two truth rules for atom {atom_id!r}")
         truth_rules[atom_id] = cond
     for atom_id, _, atoms, questions in truth:
-        _check_reads(universe, f"truth rule for {atom_id!r}", atoms, questions,
-                     universe.level(atom_id))
+        cap = universe.level(atom_id)
+        if not universe.known_below(atoms, questions, cap):
+            _check_reads(universe, f"truth rule for {atom_id!r}", atoms,
+                         questions, cap)
     for i, (_, proposals, atoms, questions) in enumerate(realizer_rules):
-        _check_reads(universe, f"realizer rule {i}", atoms, questions, None)
+        if not universe.known_below(atoms, questions):
+            _check_reads(universe, f"realizer rule {i}", atoms, questions, None)
         for ref in proposals:
             if ref not in universe:
                 raise UnknownReference(

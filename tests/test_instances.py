@@ -95,7 +95,9 @@ _JSON = st.recursive(
     lambda sub: st.lists(sub, max_size=3)
     | st.dictionaries(st.sampled_from(["a", "not", "const", "id"]), sub, max_size=2),
     max_leaves=8)
-_IDS = st.sampled_from(["a", "b", "c"])
+# atom and question ids share one pool, so a document may name an atom and
+# a question alike
+_IDS = st.sampled_from(["a", "b", "c", "q0", "q1"])
 
 
 def _or_any(strategy):
@@ -106,7 +108,7 @@ def _or_any(strategy):
 _CONDITIONS = st.recursive(
     _or_any(st.one_of(st.fixed_dictionaries({"const": st.booleans()}),
                       st.fixed_dictionaries({"present": _IDS}),
-                      st.fixed_dictionaries({"answered": st.sampled_from(["q0", "q1"])}))),
+                      st.fixed_dictionaries({"answered": _IDS}))),
     lambda sub: _or_any(st.one_of(st.fixed_dictionaries({"not": sub}),
                                   st.fixed_dictionaries({"and": st.lists(sub, max_size=3)}),
                                   st.fixed_dictionaries({"or": st.lists(sub, max_size=3)}))),
@@ -117,7 +119,7 @@ def _document_fields(conditions):
     """A strategy per document field, each field mostly well-formed."""
     return {
         "atoms": _or_any(st.lists(_or_any(st.fixed_dictionaries(
-            {"id": _or_any(_IDS), "question": _or_any(st.sampled_from(["q0", "q1"])),
+            {"id": _or_any(_IDS), "question": _or_any(_IDS),
              "level": _or_any(st.integers(-1, 2))},
             optional={"label": _or_any(st.just("text"))})), max_size=4)),
         "truth_rules": _or_any(st.lists(_or_any(st.fixed_dictionaries(
