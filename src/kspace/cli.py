@@ -28,7 +28,7 @@ from .instances import (
     gen_random,
     load_instance,
 )
-from .oracle import ProposalCapExceeded, is_sound
+from .oracle import ProposalCapExceeded, TruthMemo, is_sound
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -164,22 +164,26 @@ def cmd_validate(args) -> int:
 def cmd_run(args) -> int:
     inst = resolve_instance(args.instance)
     strategy = engine.make_strategy(args.strategy, seed=args.seed)
+    memo = TruthMemo(inst.universe)
     try:
         trace, final = engine.run(inst.initial, inst.realizer, inst.valuation,
-                                  strategy, args.fuel)
+                                  strategy, args.fuel, memo)
         exhausted = False
     except engine.FuelExhausted as exc:
         trace, final = exc.trace, exc.final
         exhausted = True
-    records = [engine.step_record(inst.valuation, i, edge)
-               for i, edge in enumerate(trace)]
+    # The run's last state is `final`, and the records are built last to
+    # first, so the memo walks back over the run's own steps.
+    prefixed = engine.is_prefixed(final, inst.realizer, inst.valuation, memo)
+    records = [engine.step_record(inst.valuation, i, trace[i], memo)
+               for i in reversed(range(len(trace)))][::-1]
     result = {
         "final_state": sorted(final),
-        "is_prefixed": engine.is_prefixed(final, inst.realizer, inst.valuation),
+        "is_prefixed": prefixed,
         # the final state is the last step's target, whose soundness the
         # last record holds
         "is_sound": (records[-1]["sound_after"] if records
-                     else is_sound(inst.valuation, final)),
+                     else is_sound(inst.valuation, final, memo)),
         "steps": len(trace),
     }
     if inst.witness is not None and not exhausted:

@@ -30,7 +30,7 @@ from .core import (
     homogeneous_level,
     level_restrict,
 )
-from .oracle import Realizer, Valuation, is_sound, realize, truth
+from .oracle import Realizer, TruthMemo, Valuation, is_sound, realize, truth
 
 CANDIDATE_CAP = 4096
 
@@ -239,10 +239,6 @@ def candidates_from_proposals(universe: AtomUniverse,
     return Candidates(universe, proposals)
 
 
-def _candidates(members: State, r: Realizer, v: Valuation) -> Candidates:
-    return candidates_from_proposals(r.universe, realize(r, v, members))
-
-
 def apply_step(universe: AtomUniverse, members: State,
                chosen: State) -> ReductionStep:
     """The step that adds `chosen` to the state: keep levels <= n, add
@@ -266,10 +262,11 @@ def apply_step(universe: AtomUniverse, members: State,
     return ReductionStep(members, chosen, kept | chosen, n)
 
 
-def is_prefixed(members: State, r: Realizer, v: Valuation) -> bool:
+def is_prefixed(members: State, r: Realizer, v: Valuation,
+                memo: Optional[TruthMemo] = None) -> bool:
     """True iff the filtered proposal set is contained in the state, which
     for a contract-satisfying realizer means it is empty."""
-    return realize(r, v, members) <= members
+    return realize(r, v, members, memo) <= members
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +303,8 @@ def make_strategy(name: str, seed: int = 0) -> Callable[[Candidates], State]:
 
 
 def run(members: State, r: Realizer, v: Valuation,
-        strategy: Callable[[Candidates], State],
-        fuel: int) -> tuple[list[ReductionStep], State]:
+        strategy: Callable[[Candidates], State], fuel: int,
+        memo: Optional[TruthMemo] = None) -> tuple[list[ReductionStep], State]:
     """Apply the strategy's chosen candidate until none exists.
 
     The candidates are never enumerated, so no candidate cap applies.  A
@@ -317,15 +314,17 @@ def run(members: State, r: Realizer, v: Valuation,
     iff it is a step).  Each state is realized once, at the top of the
     loop: the run ends there when it has no candidates, and raises
     FuelExhausted (with the partial trace) when it still has some after
-    `fuel` steps.
+    `fuel` steps.  `realize` reads its verdicts from `memo`, a fresh
+    `TruthMemo` unless the caller passes one to share.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
     universe = r.universe
+    memo = TruthMemo(universe) if memo is None else memo
     trace: list[ReductionStep] = []
     current = members
     while True:
-        candidates = _candidates(current, r, v)
+        candidates = candidates_from_proposals(universe, realize(r, v, current, memo))
         if not candidates:
             return trace, current
         if len(trace) == fuel:
@@ -487,7 +486,7 @@ def explore_tree(root: State, r: Realizer, v: Valuation,
             return tree.successors[members]
         except KeyError:
             pass
-        candidates = _candidates(members, r, v)
+        candidates = candidates_from_proposals(universe, realize(r, v, members))
         if candidates.proposals.violation is not None:
             tree.violations[members] = candidates.proposals.violation
         if check_lemmas:
@@ -532,7 +531,8 @@ def explore_tree(root: State, r: Realizer, v: Valuation,
 # ---------------------------------------------------------------------------
 # trace export
 
-def step_record(v: Valuation, index: int, edge: ReductionStep) -> dict:
+def step_record(v: Valuation, index: int, edge: ReductionStep,
+                memo: Optional[TruthMemo] = None) -> dict:
     """One exported trace record; field names are part of the interface.
 
     `edge` is a step `apply_step` built: its target is the source's atoms
@@ -544,5 +544,5 @@ def step_record(v: Valuation, index: int, edge: ReductionStep) -> dict:
         "chosen": sorted(edge.chosen),
         "dropped": sorted(edge.source - edge.target),
         "state_after": sorted(edge.target),
-        "sound_after": is_sound(v, edge.target),
+        "sound_after": is_sound(v, edge.target, memo),
     }

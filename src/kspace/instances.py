@@ -201,6 +201,15 @@ def _require_list(value, key: str) -> None:
 
 
 def _check_atom(atom) -> None:
+    # three fields of exact types and ASCII ids pass every check below; any
+    # other entry runs them in order, for its message
+    try:
+        if (type(atom) is dict and len(atom) == 3 and type(atom["level"]) is int
+                and type(i := atom["id"]) is type(q := atom["question"]) is str
+                and (i + q).isascii()):
+            return
+    except KeyError:
+        pass
     if not isinstance(atom, dict) or not _ATOM_KEYS.issuperset(atom):
         raise SchemaError(f"bad atom entry {_shown(atom)}")
     if not ("id" in atom and "question" in atom and "level" in atom):

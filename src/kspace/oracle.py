@@ -144,11 +144,44 @@ def truth(v: Valuation, atom_id: str, members: State,
     return v.evaluate(atom, view)
 
 
-def is_sound(v: Valuation, members: State) -> bool:
+class TruthMemo:
+    """Truth verdicts kept along a walk over states, for one valuation.
+
+    By the level mask, an atom's truth depends only on the state below its
+    level, so a move from state X to X' keeps the verdicts of the atoms at
+    levels <= the lowest level in X ^ X' and drops the rest: exact for any
+    sequence of states and any valuation that reads the state only through
+    its view.  A call that raises stores nothing."""
+
+    def __init__(self, universe: AtomUniverse):
+        self.universe = universe
+        self._members: State = frozenset()
+        self._by_level: dict[int, dict[str, bool]] = {}
+
+    def truth(self, v: Valuation, atom_id: str, members: State,
+              views: Optional[dict[int, StateView]] = None) -> bool:
+        """`truth(v, atom_id, members, views)`, kept or evaluated and kept."""
+        if members is not self._members and members != self._members:
+            low = min(self.universe.atom(a).level for a in members ^ self._members)
+            self._by_level = {level: known for level, known
+                              in self._by_level.items() if level <= low}
+            self._members = members
+        known = self._by_level.setdefault(self.universe.atom(atom_id).level, {})
+        verdict = known.get(atom_id)
+        if verdict is None:
+            verdict = known[atom_id] = truth(v, atom_id, members, views)
+        return verdict
+
+
+def is_sound(v: Valuation, members: State,
+             memo: Optional[TruthMemo] = None) -> bool:
     """True iff every member of the state is true in it.  Members of one
-    level share one masked view (see `truth`)."""
+    level share one masked view (see `truth`); with a `memo`, each verdict
+    is read from it."""
     views: dict[int, StateView] = {}
-    return all(truth(v, a, members, views) for a in members)
+    if memo is None:
+        return all(truth(v, a, members, views) for a in members)
+    return all(memo.truth(v, a, members, views) for a in members)
 
 
 class Proposals(frozenset):
@@ -164,7 +197,8 @@ class Proposals(frozenset):
         return self
 
 
-def realize(r: Realizer, v: Valuation, members: State) -> Proposals:
+def realize(r: Realizer, v: Valuation, members: State,
+            memo: Optional[TruthMemo] = None) -> Proposals:
     """The raw proposals for a state that meet the realizer contract (the
     filtered map is itself a realizer); the first one dropped, in id order,
     is the result's `violation`.
@@ -172,16 +206,17 @@ def realize(r: Realizer, v: Valuation, members: State) -> Proposals:
     The "question already answered" clause is asked of the view the
     realizer was given, so a question the realizer's own rules asked about
     is answered once.  The truth clause is asked through one masked view
-    per level of the proposals (see `truth`)."""
+    per level of the proposals (see `truth`), or read from `memo`."""
     universe = r.universe
     view = StateView(universe, members)
     views: dict[int, StateView] = {}
+    evaluate = truth if memo is None else memo.truth
     kept, dropped = [], []
     # key=str: an id of another type sorts and then fails its lookup
     for atom_id in sorted(r.propose(view), key=str):
         if view.answered(universe.atom(atom_id).question):
             dropped.append((atom_id, CLAUSE_ANSWERED))
-        elif truth(v, atom_id, members, views):
+        elif evaluate(v, atom_id, members, views):
             kept.append(atom_id)
         else:
             dropped.append((atom_id, CLAUSE_UNTRUE))
