@@ -7,10 +7,13 @@ erases every atom above n.  `apply_step` is the one place a chosen set is
 checked to be such a step and its level computed.  `Candidates` holds the
 sets a step may pick at a state without building them; `run` and its
 strategies pick one set from it, and only the explorer lists them all.
-The explorer walks every state reachable from a root once, checking the
-per-state and per-edge invariants once per distinct state and edge, and
-derives the figures of the reduction tree (one node per path) from path
-counts instead of building it.
+A step is a `ReductionStep`, a tuple record.  The explorer expands every
+state reachable from a root once, breadth-first, checking the per-state
+and per-edge invariants once per distinct state and edge; one pass in
+topological order then counts each state's root paths, from which it
+derives the figures of the reduction tree (one node per path) instead of
+building it.  So an exploration costs what its distinct states and edges
+cost, not what its paths cost.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import random
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from math import prod
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .core import (
     AtomUniverse,
@@ -87,8 +90,11 @@ class NodeBudgetExceeded(BudgetExceeded):
     pass
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
+    """One step: `apply_step` adds `chosen` to `source`, whose atoms above
+    `level` it drops, and gives `target`.  A tuple record, so it also
+    unpacks and compares equal to the plain 4-tuple of its fields."""
+
     source: State
     chosen: State
     target: State
@@ -457,35 +463,36 @@ def explore_tree(root: State, r: Realizer, v: Valuation,
                  check_lemmas: bool = True) -> ReductionTree:
     """Exhaustively explore every reduction step from `root`.
 
-    The walk is breadth-first over distinct states, one depth at a time,
-    carrying the number of root paths that reach each state at that
-    depth.  Each state is expanded once: it is realized once, and
-    `apply_step` builds each edge from a candidate, the one place the
-    edge's level is computed.  With `check_lemmas`, `check_node` runs once
-    per distinct state and `check_edge` once per distinct edge, and each
-    failure is reported once.  The edge checks
-    share one `TruthRecords` for the call, so each state's bit set is
-    built once and each (state, atom) pair is evaluated at most once per
-    exploration.  The step relation is acyclic
-    (a step keeps the levels below n and strictly grows level n), so the
-    walk ends.  The graph is written straight into the returned tree:
-    each state's first parent into `parent`, each state's steps into
-    `successors`.
+    The expansion pass is breadth-first and expands each distinct state
+    once, in discovery order: it is realized once, and `apply_step` builds
+    each edge from a candidate, the one place the edge's level is
+    computed.  With `check_lemmas`, `check_node` runs once per distinct
+    state and `check_edge` once per distinct edge, and each failure is
+    reported once.  The edge checks share one `TruthRecords` for the call,
+    so each state's bit set is built once and each (state, atom) pair is
+    evaluated at most once per exploration.  The graph is written straight
+    into the returned tree: each state's first parent into `parent`, each
+    state's steps into `successors`.  The counting pass then takes the
+    states in topological order, one layer of Kahn's algorithm at a time,
+    and adds up each state's root paths: `node_count` is their sum and
+    `max_depth` the last layer's index, the longest root path.  The step
+    relation is acyclic (a step keeps the levels below n and strictly
+    grows level n), so every state is counted.
 
     Raises DepthExceeded when a reducible state sits at depth
     `fuel_depth`, and NodeBudgetExceeded when the tree through the next
     depth would have more than `max_nodes` nodes.  Both carry the partial
-    graph and its `path` to the offending state.
+    graph and its `path` to the offending state.  Either pass stops once
+    such an error is certain: the expansion pass at `max_nodes` distinct
+    steps or at a reducible state first reached at depth `fuel_depth`,
+    the counting pass when its totals break a budget.
+    `_explore_by_depth` then raises the error over the expansions made.
     """
     universe = r.universe
     tree = ReductionTree(parent={root: None})
     records = TruthRecords(v) if check_lemmas else None
 
     def expand(members: State) -> list[ReductionStep]:
-        try:
-            return tree.successors[members]
-        except KeyError:
-            pass
         candidates = candidates_from_proposals(universe, realize(r, v, members))
         if candidates.proposals.violation is not None:
             tree.violations[members] = candidates.proposals.violation
@@ -501,10 +508,94 @@ def explore_tree(root: State, r: Realizer, v: Valuation,
         tree.successors[members] = edges
         return edges
 
+    # state -> number of steps into it found so far
+    parent, in_degree = tree.parent, {root: 0}
+    # each distinct step is on a root path, so the tree has more than
+    # `steps` nodes
+    level, depth, steps = [root], 0, 0
+    while level:
+        next_level = []
+        for state in level:
+            edges = expand(state)
+            if not edges:
+                continue
+            steps += len(edges)
+            if depth >= fuel_depth or steps >= max_nodes:
+                return _explore_by_depth(tree, expand, fuel_depth, max_nodes)
+            for edge in edges:
+                child = edge.target
+                if child in in_degree:
+                    in_degree[child] += 1
+                else:
+                    in_degree[child] = 1
+                    parent[child] = state
+                    next_level.append(child)
+        level = next_level
+        depth += 1
+
+    # state -> number of root paths reaching it
+    successors, paths = tree.successors, dict.fromkeys(parent, 0)
+    paths[root] = 1
+    layer = [root]
+    while True:
+        next_layer = []
+        for state in layer:
+            count = paths[state]
+            for edge in successors[state]:
+                child = edge.target
+                paths[child] += count
+                in_degree[child] -= 1
+                if not in_degree[child]:
+                    next_layer.append(child)
+        if not next_layer:
+            break
+        tree.max_depth += 1
+        layer = next_layer
+    tree.node_count = sum(paths.values())
+    if tree.node_count > max_nodes or tree.max_depth > fuel_depth:
+        return _explore_by_depth(tree, expand, fuel_depth, max_nodes)
+    return tree
+
+
+def _explore_by_depth(expanded: ReductionTree,
+                      expand: Callable[[State], list[ReductionStep]],
+                      fuel_depth: int, max_nodes: int) -> ReductionTree:
+    """Walk the graph one depth at a time, carrying the number of root
+    paths that reach each state at that depth, and return the tree or
+    raise the budget error with the partial tree as it stands.  It visits
+    a state once per depth at which a root path reaches it, but it finds
+    the state that tips a budget, which `explore_tree`'s counts cannot.
+
+    Each state's steps, check failures and contract violation are copied
+    from `expanded` in the walk's order; a state not in `expanded` is
+    first expanded into it by `expand`, so none is realized or checked
+    twice.
+    """
+    failures: dict[State, list[tuple[ReductionStep, str]]] = {}
+    for entry in expanded.check_failures:
+        failures.setdefault(entry[0].source, []).append(entry)
+    root = next(iter(expanded.parent))
+    tree = ReductionTree(parent={root: None})
+
+    def successors_of(members: State) -> list[ReductionStep]:
+        try:
+            return tree.successors[members]
+        except KeyError:
+            pass
+        if members not in expanded.successors:
+            known = len(expanded.check_failures)
+            expand(members)
+            failures[members] = expanded.check_failures[known:]
+        if members in expanded.violations:
+            tree.violations[members] = expanded.violations[members]
+        tree.check_failures.extend(failures.get(members, ()))
+        edges = tree.successors[members] = expanded.successors[members]
+        return edges
+
     # state -> number of root paths reaching it at the current depth
     frontier: dict[State, int] = {root: 1}
     while True:
-        reducible = [state for state in frontier if expand(state)]
+        reducible = [state for state in frontier if successors_of(state)]
         if not reducible:
             return tree
         if tree.max_depth >= fuel_depth:

@@ -1,14 +1,19 @@
-"""Test-only reference: the path-by-path explorer that `explore_tree`
-replaced, kept to check that the state-graph walk changes nothing
-observable.
+"""Test-only references: the two explorers that `explore_tree` replaced,
+kept to check that the state-graph walk changes nothing observable.
 
-`explore_tree_by_paths` is the former `engine.explore_tree` verbatim,
+`explore_tree_by_paths` is the first `engine.explore_tree` verbatim,
 except that its thread-pool branch (`parallel=True`, never the default)
 and its candidate-cap parameter (the cap is now a constant) are left
 out.  `enumerate_candidates` is the former engine function of that name.
 It builds one `TreeNode` per path and re-checks every edge
 on every path that reaches it, so its cost grows with the number of
 paths: keep its inputs small.
+
+`explore_tree_by_depth` is the second `engine.explore_tree` verbatim: a
+walk over distinct states one depth at a time, carrying path counts, that
+visits a state once per depth at which a root path reaches it.  It is the
+reference for budget errors, whose type, message, branch and partial
+graph `explore_tree` must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -22,8 +27,10 @@ from kspace.engine import (
     DepthExceeded,
     NodeBudgetExceeded,
     ReductionStep,
+    ReductionTree,
     TruthRecords,
     apply_step,
+    candidates_from_proposals,
     check_edge,
     check_node,
 )
@@ -140,3 +147,57 @@ def explore_tree_by_paths(root: State, r: Realizer, v: Valuation,
             tree.max_depth = depth
         frontier = next_frontier
     return tree
+
+
+def explore_tree_by_depth(root: State, r: Realizer, v: Valuation,
+                          fuel_depth: int = 10_000, max_nodes: int = 1_000_000,
+                          check_lemmas: bool = True) -> ReductionTree:
+    universe = r.universe
+    tree = ReductionTree(parent={root: None})
+    records = TruthRecords(v) if check_lemmas else None
+
+    def expand(members: State) -> list[ReductionStep]:
+        try:
+            return tree.successors[members]
+        except KeyError:
+            pass
+        candidates = candidates_from_proposals(universe, realize(r, v, members))
+        if candidates.proposals.violation is not None:
+            tree.violations[members] = candidates.proposals.violation
+        if check_lemmas:
+            for name in check_node(members, candidates):
+                tree.check_failures.append(
+                    (ReductionStep(members, frozenset(), members, 0), name))
+        edges = [apply_step(universe, members, chosen) for chosen in candidates]
+        if check_lemmas:
+            for edge in edges:
+                for name in check_edge(v, edge, records=records):
+                    tree.check_failures.append((edge, name))
+        tree.successors[members] = edges
+        return edges
+
+    # state -> number of root paths reaching it at the current depth
+    frontier: dict[State, int] = {root: 1}
+    while True:
+        reducible = [state for state in frontier if expand(state)]
+        if not reducible:
+            return tree
+        if tree.max_depth >= fuel_depth:
+            raise DepthExceeded(
+                f"branch still reducible at depth {fuel_depth}",
+                tree.path(reducible[0]), tree)
+        nodes = tree.node_count
+        next_frontier: dict[State, int] = {}
+        for state in reducible:
+            paths = frontier[state]
+            nodes += paths * len(tree.successors[state])
+            if nodes > max_nodes:
+                raise NodeBudgetExceeded(
+                    f"more than {max_nodes} tree nodes", tree.path(state), tree)
+            for edge in tree.successors[state]:
+                child = edge.target
+                next_frontier[child] = next_frontier.get(child, 0) + paths
+                tree.parent.setdefault(child, state)
+        tree.node_count = nodes
+        tree.max_depth += 1
+        frontier = next_frontier

@@ -21,6 +21,7 @@ from kspace.engine import (
     TruthRecords,
     apply_step,
     check_edge,
+    check_node,
     explore_tree,
     is_prefixed,
     make_strategy,
@@ -349,6 +350,59 @@ def test_lemma_checks_evaluate_each_state_atom_once(monkeypatch, doc, budget):
                         check_lemmas=True, **budget)
     assert bool(evaluated) == bool(edges_of(tree))
     assert [pair for pair, calls in evaluated.items() if calls > 1] == []
+
+
+REALIZE_ONCE_CASES = [("t3", builtin_t3(), ())]
+REALIZE_ONCE_CASES += [(f"cascade:{k},{w},{s}", gen_cascade(k, w, s), ())
+                       for k in range(1, 5) for w in (1, 2) for s in range(3)]
+REALIZE_ONCE_CASES += [(f"fuzz:{seed}", gen_random(*_fuzz_params(seed), seed), ())
+                       for seed in range(50)]
+# 86 states and 2,038 steps: the expansion pass stops at 1000 distinct
+# steps, or at the first reducible state first reached at depth 3, and
+# realizes no state the depth-by-depth walk does not reach
+REALIZE_ONCE_CASES += [("cascade:21,3,0", gen_cascade(21, 3, 0),
+                        ({"max_nodes": 1000}, {"fuel_depth": 3}))]
+
+
+@pytest.mark.parametrize("doc,extra", [(doc, extra) for _, doc, extra in REALIZE_ONCE_CASES],
+                         ids=[name for name, _, _ in REALIZE_ONCE_CASES])
+def test_budget_error_realizes_and_checks_each_state_once(monkeypatch, doc, extra):
+    # the budget error is raised by a second walk over the expansions the
+    # first pass made, which must not realize or check a state again
+    inst = load_instance(doc)
+    full = explore_tree(inst.initial, inst.realizer, inst.valuation,
+                        max_nodes=10**30)
+    budgets = list(extra)
+    if full.node_count > 1:
+        budgets += [{"max_nodes": 1}, {"max_nodes": full.node_count - 1},
+                    {"fuel_depth": 0}, {"fuel_depth": full.max_depth - 1,
+                                        "max_nodes": 10**30}]
+    realized, checked, edges = Counter(), Counter(), Counter()
+
+    def counted_realize(r, v, members, memo=None):
+        realized[members] += 1
+        return realize(r, v, members, memo)
+
+    def counted_check_node(members, candidates):
+        checked[members] += 1
+        return check_node(members, candidates)
+
+    def counted_check_edge(v, edge, *, records):
+        edges[edge] += 1
+        return check_edge(v, edge, records=records)
+    monkeypatch.setattr(engine, "realize", counted_realize)
+    monkeypatch.setattr(engine, "check_node", counted_check_node)
+    monkeypatch.setattr(engine, "check_edge", counted_check_edge)
+    for budget in budgets:
+        realized.clear(), checked.clear(), edges.clear()
+        with pytest.raises(BudgetExceeded) as err:
+            explore_tree(inst.initial, inst.realizer, inst.valuation, **budget)
+        assert set(realized.values()) == {1}, budget
+        assert checked == realized and set(edges.values()) <= {1}, budget
+        reached = err.value.partial.successors.keys()
+        assert reached <= realized.keys()
+        if budget in extra:
+            assert reached == realized.keys()
 
 
 class TestEdgeChecks:

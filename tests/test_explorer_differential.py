@@ -10,9 +10,10 @@ from kspace.oracle import Valuation
 
 import reference_checks
 from conftest import edges_of, fs
-from reference_explorer import explore_tree_by_paths
+from reference_explorer import explore_tree_by_depth, explore_tree_by_paths
 from test_acceptance import _fuzz_params
 from test_check_differential import _parity_valuation
+from test_lint_differential import _mutant_doc
 
 
 def _stats(tree):
@@ -56,16 +57,73 @@ def test_matches_reference(doc, budget):
     _assert_same_graph(graph, paths)
 
 
-@pytest.mark.parametrize("doc", [builtin_t3(), gen_cascade(3, 2, 0)],
-                         ids=["t3", "cascade:3,2,0"])
+def _fields(tree):
+    """Everything a tree records, in its recorded order."""
+    return (list(tree.parent.items()), list(tree.successors.items()),
+            tree.node_count, tree.max_depth, tree.check_failures,
+            list(tree.violations.items()))
+
+
+def _budgets(tree):
+    """Node budgets {1, n-1, n} and depth budgets {0, d-1, d}, where n and
+    d are the full tree's node count and depth."""
+    n, d = tree.node_count, tree.max_depth
+    return ([{"max_nodes": m} for m in (1, n - 1, n)]
+            + [{"fuel_depth": m} for m in (0, d - 1, d)])
+
+
+def _sweep(r, v):
+    """Explore from the empty state under each budget of `_budgets` with
+    `explore_tree` and with the frozen depth-by-depth walk; assert the same
+    tree, or the same budget error with the same message, branch and
+    partial tree.  Returns the partial trees of the budget errors."""
+    partials = []
+    for budget in _budgets(explore_tree(fs(), r, v)):
+        outcomes = []
+        for explore in (explore_tree, explore_tree_by_depth):
+            try:
+                outcomes.append(explore(fs(), r, v, **budget))
+            except BudgetExceeded as exc:
+                outcomes.append(exc)
+        graph, depth = outcomes
+        assert type(graph) is type(depth), budget
+        if isinstance(depth, BudgetExceeded):
+            assert str(graph) == str(depth), budget
+            assert graph.branch == depth.branch, budget
+            graph, depth = graph.partial, depth.partial
+            partials.append(graph)
+        assert _fields(graph) == _fields(depth), budget
+    return partials
+
+
+@pytest.mark.parametrize("doc", [doc for _, doc, _ in CASES],
+                         ids=[name for name, _, _ in CASES])
 def test_budget_sweep_matches_reference(doc):
     inst = load_instance(doc)
+    _sweep(inst.realizer, inst.valuation)
+
+
+def test_budget_sweep_keeps_failures_and_violations():
+    # the documents above break no lemma and no contract, so sweep forged
+    # valuations (check failures) and mutant realizers (violations) too
+    failing = violating = 0
+    for _, doc, _ in FORGED_CASES:
+        inst = load_instance(doc)
+        partials = _sweep(inst.realizer, _unmasked_parity_valuation(inst.universe))
+        failing += any(partial.check_failures for partial in partials)
+    for seed in range(50):
+        inst = load_instance(_mutant_doc(seed))
+        partials = _sweep(inst.realizer, inst.valuation)
+        violating += any(partial.violations for partial in partials)
+    assert failing >= 10 and violating >= 10
+
+
+@pytest.mark.parametrize("doc", [builtin_t3(), gen_cascade(3, 2, 0)],
+                         ids=["t3", "cascade:3,2,0"])
+def test_budget_sweep_matches_path_reference(doc):
+    inst = load_instance(doc)
     full = explore_tree(fs(), inst.realizer, inst.valuation)
-    budgets = [{"max_nodes": n}
-               for n in (1, full.node_count - 1, full.node_count)]
-    budgets += [{"fuel_depth": d}
-                for d in (0, full.max_depth - 1, full.max_depth)]
-    for budget in budgets:
+    for budget in _budgets(full):
         graph, paths = _explore_both(inst, **budget)
         raised = [type(x) if isinstance(x, BudgetExceeded) else None
                   for x in (graph, paths)]

@@ -11,8 +11,9 @@ a field of that name), and a ``property`` or ``cached_property`` through
 ``obj.name``.  A name that only the tests use is test-only API: delete
 it, or list it in ALLOWED with the reason it stays.
 
-Each field of a ``@dataclass`` under ``src/kspace`` must likewise be read
-there: an ``obj.name`` in load context.  A store such as
+Each field of a ``@dataclass`` or a ``NamedTuple`` class under
+``src/kspace`` must likewise be read there: an ``obj.name`` in load
+context.  A store such as
 ``tree.node_count = nodes`` does not count, so a field that is only
 written is flagged.
 """
@@ -88,35 +89,53 @@ def _uncalled() -> list[str]:
                        for name, how, enclosing in references)]
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
+def _is_record(node: ast.ClassDef) -> bool:
+    """A ``@dataclass`` (bare or called) or a ``NamedTuple`` subclass."""
     return any(
         getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
-        == "dataclass" for d in node.decorator_list)
+        == "dataclass" for d in node.decorator_list) or any(
+        getattr(b, "id", getattr(b, "attr", None)) == "NamedTuple"
+        for b in node.bases)
 
 
-def _unread_fields() -> list[str]:
-    """The qualified names of the dataclass fields that nothing under
-    src/kspace reads."""
+def _fields_and_reads() -> tuple[list[tuple[str, str]], set[str]]:
+    """(qualified name, name) of each dataclass and NamedTuple field under
+    src/kspace, and the names read there as an attribute."""
     fields, reads = [], set()
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in tree.body:
-            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            if isinstance(node, ast.ClassDef) and _is_record(node):
                 fields.extend(
                     (f"{path.stem}.{node.name}.{item.target.id}", item.target.id)
                     for item in node.body if isinstance(item, ast.AnnAssign))
         reads.update(node.attr for node in ast.walk(tree)
                      if isinstance(node, ast.Attribute)
                      and isinstance(node.ctx, ast.Load))
+    return fields, reads
+
+
+def _unread_fields() -> list[str]:
+    """The qualified names of the dataclass and NamedTuple fields that
+    nothing under src/kspace reads."""
+    fields, reads = _fields_and_reads()
     return [qualified for qualified, name in fields if name not in reads]
 
 
 def test_every_dataclass_field_is_read_in_the_program():
     unread = _unread_fields()
     assert unread == [], (
-        f"dataclass fields that nothing under src/kspace reads: {unread}")
+        f"dataclass and NamedTuple fields that nothing under src/kspace "
+        f"reads: {unread}")
+
+
+def test_field_guard_covers_named_tuples():
+    # a step is a NamedTuple; its fields stay under the guard
+    fields = {qualified for qualified, _ in _fields_and_reads()[0]}
+    assert {"engine.ReductionStep.source", "engine.ReductionStep.level"} <= fields
+    assert "engine.ReductionTree.parent" in fields
 
 
 def test_every_public_name_has_a_caller_in_the_program():
