@@ -103,21 +103,6 @@ def test_budget_sweep_matches_reference(doc):
     _sweep(inst.realizer, inst.valuation)
 
 
-def test_budget_sweep_keeps_failures_and_violations():
-    # the documents above break no lemma and no contract, so sweep forged
-    # valuations (check failures) and mutant realizers (violations) too
-    failing = violating = 0
-    for _, doc, _ in FORGED_CASES:
-        inst = load_instance(doc)
-        partials = _sweep(inst.realizer, _unmasked_parity_valuation(inst.universe))
-        failing += any(partial.check_failures for partial in partials)
-    for seed in range(50):
-        inst = load_instance(_mutant_doc(seed))
-        partials = _sweep(inst.realizer, inst.valuation)
-        violating += any(partial.violations for partial in partials)
-    assert failing >= 10 and violating >= 10
-
-
 @pytest.mark.parametrize("doc", [builtin_t3(), gen_cascade(3, 2, 0)],
                          ids=["t3", "cascade:3,2,0"])
 def test_budget_sweep_matches_path_reference(doc):
@@ -185,3 +170,18 @@ def test_forged_valuation_failures_match_reference(doc, budget, forger):
     for edge in edges_of(tree):
         found = [name for e, name in tree.check_failures if e == edge]
         assert found == reference_checks.check_edge(v, edge)
+
+
+def test_budget_sweep_keeps_failures_and_violations():
+    # the documents of CASES break no lemma and no contract, so sweep forged
+    # valuations (check failures) and mutant realizers (violations) too
+    failing = violating = 0
+    for _, doc, _ in FORGED_CASES:
+        inst = load_instance(doc)
+        partials = _sweep(inst.realizer, _unmasked_parity_valuation(inst.universe))
+        failing += any(partial.check_failures for partial in partials)
+    for seed in range(50):
+        inst = load_instance(_mutant_doc(seed))
+        partials = _sweep(inst.realizer, inst.valuation)
+        violating += any(partial.violations for partial in partials)
+    assert failing >= 10 and violating >= 10
