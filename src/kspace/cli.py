@@ -295,8 +295,10 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     for name, func in (("explore", cmd_explore), ("lint", cmd_lint)):
         p = sub.add_parser(name, help=f"{name} the full reduction tree")
         common(p)
-        p.add_argument("--max-depth", type=non_negative_int, default=10_000)
-        p.add_argument("--max-nodes", type=positive_int, default=1_000_000)
+        p.add_argument("--max-depth", type=non_negative_int,
+                       default=engine.DEPTH_BUDGET)
+        p.add_argument("--max-nodes", type=positive_int,
+                       default=engine.NODE_BUDGET)
         p.set_defaults(func=func)
         if name == "explore":
             p.add_argument("--no-check-lemmas", dest="check_lemmas",

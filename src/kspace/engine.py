@@ -13,7 +13,8 @@ and per-edge invariants once per distinct state and edge; one pass in
 topological order then counts each state's root paths, from which it
 derives the figures of the reduction tree (one node per path) instead of
 building it.  So an exploration costs what its distinct states and edges
-cost, not what its paths cost.
+cost, not what its paths cost.  A budget error carries the explored graph
+cut to the states that a walk one depth at a time reached.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from .core import (
 from .oracle import Realizer, TruthMemo, Valuation, is_sound, realize, truth
 
 CANDIDATE_CAP = 4096
+DEPTH_BUDGET = 10_000
+NODE_BUDGET = 1_000_000
 
 STRATEGY_NAMES = (
     "lowest-level-first",
@@ -71,9 +74,9 @@ class FuelExhausted(KspaceError):
 
 
 class BudgetExceeded(KspaceError):
-    """Base for explorer budget errors; carries the partial graph and
-    `branch`, its shortest root path to the offending state
-    (`partial.path(branch[-1])`).  A partial graph is never complete."""
+    """Base for explorer budget errors; carries `partial`, the explored
+    graph cut to the walk's states (see `explore_tree`), and `branch`, its
+    shortest root path to the offending state (`partial.path(branch[-1])`)."""
 
     def __init__(self, message: str, branch: list[State],
                  partial: "ReductionTree"):
@@ -459,7 +462,7 @@ def check_node(members: State, candidates: Candidates) -> list[str]:
 # exhaustive explorer
 
 def explore_tree(root: State, r: Realizer, v: Valuation,
-                 fuel_depth: int = 10_000, max_nodes: int = 1_000_000,
+                 fuel_depth: int = DEPTH_BUDGET, max_nodes: int = NODE_BUDGET,
                  check_lemmas: bool = True) -> ReductionTree:
     """Exhaustively explore every reduction step from `root`.
 
@@ -481,12 +484,16 @@ def explore_tree(root: State, r: Realizer, v: Valuation,
 
     Raises DepthExceeded when a reducible state sits at depth
     `fuel_depth`, and NodeBudgetExceeded when the tree through the next
-    depth would have more than `max_nodes` nodes.  Both carry the partial
-    graph and its `path` to the offending state.  Either pass stops once
+    depth would have more than `max_nodes` nodes.  Either pass stops once
     such an error is certain: the expansion pass at `max_nodes` distinct
     steps or at a reducible state first reached at depth `fuel_depth`,
-    the counting pass when its totals break a budget.
-    `_explore_by_depth` then raises the error over the expansions made.
+    the counting pass when its totals break a budget.  `_explore_by_depth`
+    then finds the error.  It reaches and expands states in the expansion
+    pass's order (a state first reached at depth d+1 has a step into it
+    from one first reached at depth d), so the error's `partial` is the
+    explored graph cut to the walk's states and its last complete depth.
+    A budget below the root's own (`max_nodes=0`, `fuel_depth=-1`) raises
+    at a reducible root and returns the one-node tree of a normal form.
     """
     universe = r.universe
     tree = ReductionTree(parent={root: None})
@@ -496,12 +503,11 @@ def explore_tree(root: State, r: Realizer, v: Valuation,
         candidates = candidates_from_proposals(universe, realize(r, v, members))
         if candidates.proposals.violation is not None:
             tree.violations[members] = candidates.proposals.violation
+        edges = [apply_step(universe, members, chosen) for chosen in candidates]
         if check_lemmas:
             for name in check_node(members, candidates):
                 tree.check_failures.append(
                     (ReductionStep(members, frozenset(), members, 0), name))
-        edges = [apply_step(universe, members, chosen) for chosen in candidates]
-        if check_lemmas:
             for edge in edges:
                 for name in check_edge(v, edge, records=records):
                     tree.check_failures.append((edge, name))
@@ -557,66 +563,50 @@ def explore_tree(root: State, r: Realizer, v: Valuation,
     return tree
 
 
-def _explore_by_depth(expanded: ReductionTree,
+def _explore_by_depth(tree: ReductionTree,
                       expand: Callable[[State], list[ReductionStep]],
                       fuel_depth: int, max_nodes: int) -> ReductionTree:
-    """Walk the graph one depth at a time, carrying the number of root
-    paths that reach each state at that depth, and return the tree or
-    raise the budget error with the partial tree as it stands.  It visits
-    a state once per depth at which a root path reaches it, but it finds
-    the state that tips a budget, which `explore_tree`'s counts cannot.
-
-    Each state's steps, check failures and contract violation are copied
-    from `expanded` in the walk's order; a state not in `expanded` is
-    first expanded into it by `expand`, so none is realized or checked
-    twice.
-    """
-    failures: dict[State, list[tuple[ReductionStep, str]]] = {}
-    for entry in expanded.check_failures:
-        failures.setdefault(entry[0].source, []).append(entry)
-    root = next(iter(expanded.parent))
-    tree = ReductionTree(parent={root: None})
-
-    def successors_of(members: State) -> list[ReductionStep]:
-        try:
-            return tree.successors[members]
-        except KeyError:
-            pass
-        if members not in expanded.successors:
-            known = len(expanded.check_failures)
-            expand(members)
-            failures[members] = expanded.check_failures[known:]
-        if members in expanded.violations:
-            tree.violations[members] = expanded.violations[members]
-        tree.check_failures.extend(failures.get(members, ()))
-        edges = tree.successors[members] = expanded.successors[members]
-        return edges
-
+    """Walk the graph one depth at a time, carrying each state's number of
+    root paths at that depth, to find the state that tips a budget.  Expand
+    only states not yet expanded, and cut the tree to the walk's `parent`
+    map and states before returning it or raising the budget error."""
+    root = next(iter(tree.parent))
+    tree.parent, tree.node_count, tree.max_depth = {root: None}, 1, 0
+    successors, walked = tree.successors, set()
     # state -> number of root paths reaching it at the current depth
     frontier: dict[State, int] = {root: 1}
-    while True:
-        reducible = [state for state in frontier if successors_of(state)]
-        if not reducible:
-            return tree
-        if tree.max_depth >= fuel_depth:
-            raise DepthExceeded(
-                f"branch still reducible at depth {fuel_depth}",
-                tree.path(reducible[0]), tree)
-        nodes = tree.node_count
-        next_frontier: dict[State, int] = {}
-        for state in reducible:
-            paths = frontier[state]
-            nodes += paths * len(tree.successors[state])
-            if nodes > max_nodes:
-                raise NodeBudgetExceeded(
-                    f"more than {max_nodes} tree nodes", tree.path(state), tree)
-            for edge in tree.successors[state]:
-                child = edge.target
-                next_frontier[child] = next_frontier.get(child, 0) + paths
-                tree.parent.setdefault(child, state)
-        tree.node_count = nodes
-        tree.max_depth += 1
-        frontier = next_frontier
+    try:
+        while True:
+            walked.update(frontier)
+            reducible = [state for state in frontier
+                         if (successors[state] if state in successors
+                             else expand(state))]
+            if not reducible:
+                return tree
+            if tree.max_depth >= fuel_depth:
+                raise DepthExceeded(
+                    f"branch still reducible at depth {fuel_depth}",
+                    tree.path(reducible[0]), tree)
+            nodes = tree.node_count
+            next_frontier: dict[State, int] = {}
+            for state in reducible:
+                paths = frontier[state]
+                nodes += paths * len(successors[state])
+                if nodes > max_nodes:
+                    raise NodeBudgetExceeded(f"more than {max_nodes} tree nodes",
+                                             tree.path(state), tree)
+                for edge in successors[state]:
+                    child = edge.target
+                    next_frontier[child] = next_frontier.get(child, 0) + paths
+                    tree.parent.setdefault(child, state)
+            tree.node_count = nodes
+            tree.max_depth += 1
+            frontier = next_frontier
+    finally:
+        tree.successors = {s: edges for s, edges in successors.items() if s in walked}
+        tree.check_failures = [(edge, name) for edge, name in tree.check_failures
+                               if edge.source in walked]
+        tree.violations = {s: x for s, x in tree.violations.items() if s in walked}
 
 
 # ---------------------------------------------------------------------------

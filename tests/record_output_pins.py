@@ -46,6 +46,10 @@ def _commands() -> list[list[str]]:
     # budget errors (exit 4): a partial trace, and no output at all
     calls += [["run", "cascade:6,2,0", "--fuel", "2"],
               ["explore", "cascade:6,2,0", "--max-nodes", "10"]]
+    # explorer budget errors of both kinds, each with a partial tree
+    calls += [["explore", "cascade:6,2,0", "--max-depth", "3"],
+              ["lint", "cascade:8,3,0", "--max-nodes", "1000"],
+              ["lint", "t3", "--max-depth", "2"]]
     calls += [["validate", spec] for spec in ("t3", "cascade:4,2,1", UNICODE_DOC)]
     calls += [[command, UNICODE_DOC] for command in ("explore", "lint", "run")]
     calls += [["lint", BREACH_DOC]]

@@ -4,7 +4,12 @@ finds through its truth records against the reference edge checks."""
 
 import pytest
 
-from kspace.engine import BudgetExceeded, explore_tree
+from kspace.engine import (
+    BudgetExceeded,
+    DepthExceeded,
+    NodeBudgetExceeded,
+    explore_tree,
+)
 from kspace.instances import builtin_t3, gen_cascade, gen_random, load_instance
 from kspace.oracle import Valuation
 
@@ -185,3 +190,79 @@ def test_budget_sweep_keeps_failures_and_violations():
         partials = _sweep(inst.realizer, inst.valuation)
         violating += any(partial.violations for partial in partials)
     assert failing >= 10 and violating >= 10
+
+
+def _assert_cuts_of_full_tree(r, v):
+    """Under each budget of `_budgets` that raises, the partial tree's
+    `parent` items, `successors` items and `check_failures` are in-order
+    prefixes of the full tree's, and its `violations` a subset of the full
+    tree's.  Returns the partial trees."""
+    full = explore_tree(fs(), r, v)
+    partials = []
+    for budget in _budgets(full):
+        try:
+            explore_tree(fs(), r, v, **budget)
+            continue
+        except BudgetExceeded as exc:
+            partial = exc.partial
+        partials.append(partial)
+        for part, whole in ((partial.parent.items(), full.parent.items()),
+                            (partial.successors.items(), full.successors.items()),
+                            (partial.check_failures, full.check_failures)):
+            part, whole = list(part), list(whole)
+            assert part == whole[:len(part)], budget
+        assert partial.violations.items() <= full.violations.items(), budget
+    return partials
+
+
+@pytest.mark.parametrize("doc", [doc for _, doc, _ in CASES],
+                         ids=[name for name, _, _ in CASES])
+def test_budget_error_cuts_full_tree(doc):
+    inst = load_instance(doc)
+    _assert_cuts_of_full_tree(inst.realizer, inst.valuation)
+
+
+def test_budget_error_cuts_failures_and_violations():
+    # as in test_budget_sweep_keeps_failures_and_violations: forged
+    # valuations give check failures, mutant realizers violations
+    failing = violating = 0
+    for _, doc, _ in FORGED_CASES:
+        inst = load_instance(doc)
+        partials = _assert_cuts_of_full_tree(
+            inst.realizer, _unmasked_parity_valuation(inst.universe))
+        failing += any(partial.check_failures for partial in partials)
+    for seed in range(50):
+        inst = load_instance(_mutant_doc(seed))
+        partials = _assert_cuts_of_full_tree(inst.realizer, inst.valuation)
+        violating += any(partial.violations for partial in partials)
+    assert failing >= 10 and violating >= 10
+
+
+@pytest.mark.parametrize("budget", [{"max_nodes": 0}, {"fuel_depth": -1}],
+                         ids=["max_nodes=0", "fuel_depth=-1"])
+@pytest.mark.parametrize("doc,reducible", [
+    (gen_random(*_fuzz_params(0), 0), False),
+    (builtin_t3(), True),
+], ids=["fuzz:0", "t3"])
+def test_budget_below_the_roots_own(doc, reducible, budget):
+    # budgets that even the root breaks, which only the API takes: a root
+    # in normal form (fuzz:0) is the whole one-node tree, a reducible root
+    # (t3) raises at once
+    inst = load_instance(doc)
+    outcomes = []
+    for explore in (explore_tree, explore_tree_by_depth):
+        try:
+            outcomes.append(explore(fs(), inst.realizer, inst.valuation, **budget))
+        except BudgetExceeded as exc:
+            outcomes.append(exc)
+    graph, depth = outcomes
+    if reducible:
+        kind = NodeBudgetExceeded if "max_nodes" in budget else DepthExceeded
+        assert type(graph) is type(depth) is kind
+        assert str(graph) == str(depth)
+        assert graph.branch == depth.branch == [fs()]
+        graph, depth = graph.partial, depth.partial
+    else:
+        assert not isinstance(graph, BudgetExceeded)
+        assert (graph.node_count, graph.normal_forms) == (1, {fs()})
+    assert _fields(graph) == _fields(depth)
