@@ -33,7 +33,8 @@ class InvalidState(KspaceError):
 
 #: Highest atom level accepted.  The per-edge checks loop over every
 #: integer level up to the top one, a few int operations each, and a
-#: universe keeps one level mask per integer level.
+#: universe keeps one level mask per integer level.  Its id sets per level
+#: (`ids_at_or_below`) are built only for the levels asked for.
 MAX_LEVEL = 1000
 
 State = frozenset
@@ -46,41 +47,79 @@ class Atom:
     level: int
 
 
+class _ById(dict):
+    """A table keyed by atom id whose failed lookup raises UnknownAtom."""
+
+    __slots__ = ()
+
+    def __missing__(self, atom_id):
+        raise UnknownAtom(f"unknown atom id {atom_id!r}")
+
+
+class _IdsAtOrBelow(dict):
+    """Level n -> the frozenset of the ids at level n or below, built on
+    first lookup from an id -> level table (never the universe itself,
+    which would make a reference cycle)."""
+
+    __slots__ = ("_level_of",)
+
+    def __init__(self, level_of: dict[str, int]):
+        super().__init__()
+        self._level_of = level_of
+
+    def __missing__(self, n: int) -> frozenset[str]:
+        ids = self[n] = frozenset(
+            atom_id for atom_id, level in self._level_of.items() if level <= n)
+        return ids
+
+
 class AtomUniverse:
     """Finite, immutable collection of atoms indexed by id and by question.
 
-    Each atom also owns one bit, its position in id order, so that a set
-    of atoms can be held as an int (`bits`).  The bit table and the level
-    masks are built on first use.
+    `level_of` and `question_of` map each atom id to its level and to its
+    question, and raise UnknownAtom for any other id; `ids_at_or_below[n]`
+    is the frozenset of the ids at level n or below, built for each n on
+    first use.  They let a step work on whole sets at a time.  Each atom
+    also owns one bit, its position in id order, so that a set of atoms
+    can be held as an int (`bits`).  The bit table and the level masks
+    are built on first use.
     """
 
     def __init__(self, atoms: Iterable[Atom]):
-        self._atoms: dict[str, Atom] = {}
-        self._max_level = 0
+        self._atoms: dict[str, Atom] = _ById()
+        self.level_of: dict[str, int] = _ById()
+        self.question_of: dict[str, str] = _ById()
+        by_id, level_of, question_of = self._atoms, self.level_of, self.question_of
+        self.ids_at_or_below: dict[int, frozenset[str]] = _IdsAtOrBelow(level_of)
+        max_level = 0
         index: dict[str, set[str]] = {}
         for atom in atoms:
-            if atom.id in self._atoms:
-                raise InvalidState(f"duplicate atom id {atom.id!r}")
-            if atom.level < 0:
-                raise InvalidState(f"atom {atom.id!r} has negative level")
-            if atom.level > MAX_LEVEL:
+            atom_id, question, level = atom.id, atom.question, atom.level
+            if atom_id in by_id:
+                raise InvalidState(f"duplicate atom id {atom_id!r}")
+            if level < 0:
+                raise InvalidState(f"atom {atom_id!r} has negative level")
+            if level > MAX_LEVEL:
                 try:
-                    shown = f" {atom.level}"
+                    shown = f" {level}"
                 except ValueError:  # past the int-to-str digit limit
                     shown = ""
                 raise InvalidState(
-                    f"atom {atom.id!r} has level{shown} above {MAX_LEVEL}")
-            self._atoms[atom.id] = atom
-            if atom.level > self._max_level:
-                self._max_level = atom.level
-            index.setdefault(atom.question, set()).add(atom.id)
+                    f"atom {atom_id!r} has level{shown} above {MAX_LEVEL}")
+            by_id[atom_id] = atom
+            level_of[atom_id] = level
+            question_of[atom_id] = question
+            if level > max_level:
+                max_level = level
+            index.setdefault(question, set()).add(atom_id)
+        self._max_level = max_level
         self.question_index: dict[str, frozenset[str]] = {
             q: frozenset(ids) for q, ids in index.items()
         }
         # all atoms of a question must share one level
         self._question_levels: dict[str, int] = {}
         for q, ids in self.question_index.items():
-            levels = {self._atoms[i].level for i in ids}
+            levels = set(map(level_of.__getitem__, ids))
             if len(levels) > 1:
                 raise InvalidState(f"question {q!r} mixes levels {sorted(levels)}")
             (self._question_levels[q],) = levels
@@ -99,10 +138,7 @@ class AtomUniverse:
         return list(self._sorted_atoms)
 
     def atom(self, atom_id: str) -> Atom:
-        try:
-            return self._atoms[atom_id]
-        except KeyError:
-            raise UnknownAtom(f"unknown atom id {atom_id!r}") from None
+        return self._atoms[atom_id]
 
     def question_atoms(self, question: str) -> frozenset[str]:
         try:
@@ -117,15 +153,14 @@ class AtomUniverse:
             raise UnknownQuestion(f"unknown question id {question!r}") from None
 
     def level(self, atom_id: str) -> int:
-        return self.atom(atom_id).level
+        return self.level_of[atom_id]
 
     def known_below(self, atoms: Iterable[str], questions: Iterable[str],
                     cap: int = MAX_LEVEL + 1) -> bool:
         """True iff every atom and question id given is known and at a level
         below `cap` (by default any level): one table lookup per id."""
         for atom_id in atoms:
-            atom = self._atoms.get(atom_id)
-            if atom is None or atom.level >= cap:
+            if self.level_of.get(atom_id, cap) >= cap:
                 return False
         for question in questions:
             if self._question_levels.get(question, cap) >= cap:
@@ -140,14 +175,11 @@ class AtomUniverse:
 
     @cached_property
     def _bit(self) -> dict[str, int]:
-        return {a.id: 1 << i for i, a in enumerate(self._sorted_atoms)}
+        return _ById({a.id: 1 << i for i, a in enumerate(self._sorted_atoms)})
 
     def bits(self, members: Iterable[str]) -> int:
         """The set of atom ids as an int with one bit per atom."""
-        try:
-            return reduce(operator.or_, map(self._bit.__getitem__, members), 0)
-        except KeyError as exc:
-            raise UnknownAtom(f"unknown atom id {exc.args[0]!r}") from None
+        return reduce(operator.or_, map(self._bit.__getitem__, members), 0)
 
     def from_bits(self, bits: int) -> list[str]:
         """The atom ids of a bit set (see `bits`), in id order."""
@@ -188,12 +220,17 @@ def is_state(members: Iterable[str], universe: AtomUniverse) -> bool:
 def level_restrict(members: State, n: int, universe: AtomUniverse) -> State:
     """The members at level <= n: the part of the state a step at level n
     keeps."""
-    return frozenset(a for a in members if universe.atom(a).level <= n)
+    kept = universe.ids_at_or_below[n] & members
+    if len(kept) < len(members) and not universe.level_of.keys() >= members:
+        level_of = universe.level_of
+        for atom_id in members:
+            level_of[atom_id]  # raises UnknownAtom at the first unknown one
+    return kept
 
 
 def homogeneous_level(members: State, universe: AtomUniverse) -> Optional[int]:
     """The common level of a nonempty single-level state, else None."""
-    levels = {universe.atom(a).level for a in members}
+    levels = set(map(universe.level_of.__getitem__, members))
     if len(levels) == 1:
         return next(iter(levels))
     return None

@@ -160,14 +160,15 @@ class Candidates(Sequence):
 
     def __init__(self, universe: AtomUniverse, proposals: frozenset[str]):
         self.proposals = proposals
-        by_level: dict[int, dict[str, list[str]]] = {}
+        question_of, level_of = universe.question_of, universe.level_of
+        by_question: dict[str, list[str]] = {}
         for atom_id in proposals:
-            atom = universe.atom(atom_id)
-            by_level.setdefault(atom.level, {}).setdefault(atom.question, []).append(atom_id)
-        self.levels = sorted(by_level)
+            by_question.setdefault(question_of[atom_id], []).append(atom_id)
         # level -> the sorted ids of each of its questions
-        self._groups = {level: [sorted(ids) for ids in by_level[level].values()]
-                        for level in self.levels}
+        self._groups: dict[int, list[list[str]]] = {}
+        for ids in by_question.values():
+            self._groups.setdefault(level_of[ids[0]], []).append(sorted(ids))
+        self.levels = sorted(self._groups)
         self._counts = [prod(len(ids) + 1 for ids in self._groups[level]) - 1
                         for level in self.levels]
         self.size = sum(self._counts)
@@ -229,6 +230,9 @@ class Candidates(Sequence):
 
     @staticmethod
     def _level_sets(groups: list[list[str]]) -> list[State]:
+        if len(groups) == 1:
+            # one question: its singletons, already in id order
+            return [frozenset((atom_id,)) for atom_id in groups[0]]
         level_sets = []
         for choice in itertools.product(*[ids + [None] for ids in groups]):
             picked = frozenset(a for a in choice if a is not None)
@@ -260,14 +264,20 @@ def apply_step(universe: AtomUniverse, members: State,
         raise NotHomogeneous(f"chosen set {sorted(chosen)} is not homogeneous")
     # a chosen atom already in the state is kept: its question is answered
     kept = level_restrict(members, n, universe)
-    questions = {universe.atom(a).question for a in kept}
-    for atom_id in chosen:
-        question = universe.atom(atom_id).question
-        if question in questions:
-            raise QuestionConflict(
-                f"atom {atom_id!r} answers question {question!r}, which the "
-                f"kept state or another chosen atom already answers")
-        questions.add(question)
+    question_of = universe.question_of
+    questions = set(map(question_of.__getitem__, chosen))
+    if len(questions) < len(chosen) or (kept and not questions.isdisjoint(
+            map(question_of.__getitem__, kept))):
+        # name the first chosen atom, in iteration order, whose question
+        # is answered already
+        questions = set(map(question_of.__getitem__, kept))
+        for atom_id in chosen:
+            question = question_of[atom_id]
+            if question in questions:
+                raise QuestionConflict(
+                    f"atom {atom_id!r} answers question {question!r}, which the "
+                    f"kept state or another chosen atom already answers")
+            questions.add(question)
     return ReductionStep(members, chosen, kept | chosen, n)
 
 

@@ -129,6 +129,18 @@ def compile_expr(expr, atoms: set[str], questions: set[str],
             return False
         return disjunction
     if key == "not":
+        # a negated well-formed leaf within the depth bound is one closure;
+        # anything else compiles, or fails, as the general case does
+        if (depth < MAX_CONDITION_DEPTH and isinstance(value, dict)
+                and len(value) == 1):
+            ((leaf, ref),) = value.items()
+            if isinstance(ref, str):
+                if leaf == "answered":
+                    questions.add(ref)
+                    return lambda view: not view.answered(ref)
+                if leaf == "present":
+                    atoms.add(ref)
+                    return lambda view: not view.present(ref)
         inner = compile_expr(value, atoms, questions, depth + 1)
         return lambda view: not inner(view)
     if key == "present":

@@ -69,11 +69,11 @@ class StateView:
     def present(self, atom_id: str) -> bool:
         # an atom's level is its question's, so this is the mask check of
         # `query` without building the question's answer set
-        atom = self.universe.atom(atom_id)
-        if self._level_cap is not None and atom.level >= self._level_cap:
+        level = self.universe.level_of[atom_id]
+        if self._level_cap is not None and level >= self._level_cap:
             raise MaskViolation(
-                f"query of question {atom.question!r} at level {atom.level} "
-                f"breaks the mask at cap {self._level_cap}"
+                f"query of question {self.universe.question_of[atom_id]!r} at "
+                f"level {level} breaks the mask at cap {self._level_cap}"
             )
         return atom_id in self._members
 
@@ -161,12 +161,16 @@ class TruthMemo:
     def truth(self, v: Valuation, atom_id: str, members: State,
               views: Optional[dict[int, StateView]] = None) -> bool:
         """`truth(v, atom_id, members, views)`, kept or evaluated and kept."""
+        level_of = self.universe.level_of
         if members is not self._members and members != self._members:
-            low = min(self.universe.atom(a).level for a in members ^ self._members)
+            low = min(map(level_of.__getitem__, members ^ self._members))
             self._by_level = {level: known for level, known
                               in self._by_level.items() if level <= low}
             self._members = members
-        known = self._by_level.setdefault(self.universe.atom(atom_id).level, {})
+        level = level_of[atom_id]
+        known = self._by_level.get(level)
+        if known is None:
+            known = self._by_level[level] = {}
         verdict = known.get(atom_id)
         if verdict is None:
             verdict = known[atom_id] = truth(v, atom_id, members, views)
@@ -208,13 +212,14 @@ def realize(r: Realizer, v: Valuation, members: State,
     is answered once.  The truth clause is asked through one masked view
     per level of the proposals (see `truth`), or read from `memo`."""
     universe = r.universe
+    question_of = universe.question_of
     view = StateView(universe, members)
     views: dict[int, StateView] = {}
     evaluate = truth if memo is None else memo.truth
     kept, dropped = [], []
     # key=str: an id of another type sorts and then fails its lookup
     for atom_id in sorted(r.propose(view), key=str):
-        if view.answered(universe.atom(atom_id).question):
+        if view.answered(question_of[atom_id]):
             dropped.append((atom_id, CLAUSE_ANSWERED))
         elif evaluate(v, atom_id, members, views):
             kept.append(atom_id)
