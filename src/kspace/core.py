@@ -8,10 +8,7 @@ so that equal member sets compare (and hash) equal everywhere.
 
 from __future__ import annotations
 
-import itertools
-import operator
 from dataclasses import dataclass
-from functools import cached_property, reduce
 from typing import Iterable, Optional
 
 
@@ -31,10 +28,10 @@ class InvalidState(KspaceError):
     pass
 
 
-#: Highest atom level accepted.  The per-edge checks loop over every
-#: integer level up to the top one, a few int operations each, and a
-#: universe keeps one level mask per integer level.  Its id sets per level
-#: (`ids_at_or_below`) are built only for the levels asked for.
+#: Highest atom level accepted.  Only the slow path of the per-edge checks
+#: loops over every integer level up to the top one, a few int operations
+#: each.  A universe's id sets per level (`ids_at_or_below`) are built only
+#: for the levels asked for.
 MAX_LEVEL = 1000
 
 State = frozenset
@@ -79,10 +76,7 @@ class AtomUniverse:
     `level_of` and `question_of` map each atom id to its level and to its
     question, and raise UnknownAtom for any other id; `ids_at_or_below[n]`
     is the frozenset of the ids at level n or below, built for each n on
-    first use.  They let a step work on whole sets at a time.  Each atom
-    also owns one bit, its position in id order, so that a set of atoms
-    can be held as an int (`bits`).  The bit table and the level masks
-    are built on first use.
+    first use.  They let a step work on whole sets at a time.
     """
 
     def __init__(self, atoms: Iterable[Atom]):
@@ -130,12 +124,8 @@ class AtomUniverse:
     def __contains__(self, atom_id: str) -> bool:
         return atom_id in self._atoms
 
-    @cached_property
-    def _sorted_atoms(self) -> tuple[Atom, ...]:
-        return tuple(sorted(self._atoms.values(), key=lambda a: a.id))
-
     def atoms(self) -> list[Atom]:
-        return list(self._sorted_atoms)
+        return sorted(self._atoms.values(), key=lambda a: a.id)
 
     def atom(self, atom_id: str) -> Atom:
         return self._atoms[atom_id]
@@ -151,9 +141,6 @@ class AtomUniverse:
             return self._question_levels[question]
         except KeyError:
             raise UnknownQuestion(f"unknown question id {question!r}") from None
-
-    def level(self, atom_id: str) -> int:
-        return self.level_of[atom_id]
 
     def known_below(self, atoms: Iterable[str], questions: Iterable[str],
                     cap: int = MAX_LEVEL + 1) -> bool:
@@ -172,49 +159,6 @@ class AtomUniverse:
 
     def levels(self) -> list[int]:
         return sorted({a.level for a in self._atoms.values()})
-
-    @cached_property
-    def _bit(self) -> dict[str, int]:
-        return _ById({a.id: 1 << i for i, a in enumerate(self._sorted_atoms)})
-
-    def bits(self, members: Iterable[str]) -> int:
-        """The set of atom ids as an int with one bit per atom."""
-        return reduce(operator.or_, map(self._bit.__getitem__, members), 0)
-
-    def from_bits(self, bits: int) -> list[str]:
-        """The atom ids of a bit set (see `bits`), in id order."""
-        ids = []
-        while bits:
-            low = bits & -bits
-            ids.append(self._sorted_atoms[low.bit_length() - 1].id)
-            bits ^= low
-        return ids
-
-    @cached_property
-    def at_level(self) -> tuple[int, ...]:
-        """`at_level[m]`: the bits of the atoms at level m, for every
-        integer m in 0..max_level()+1 (the last one is empty)."""
-        masks = [0] * (self._max_level + 2)
-        for atom_id, bit in self._bit.items():
-            masks[self._atoms[atom_id].level] |= bit
-        return tuple(masks)
-
-    @cached_property
-    def at_or_below(self) -> tuple[int, ...]:
-        """`at_or_below[m]`: the bits of the atoms at level m or below, for
-        every integer m in 0..max_level()+1 (the last one holds them all)."""
-        return tuple(itertools.accumulate(self.at_level, operator.or_))
-
-
-def is_state(members: Iterable[str], universe: AtomUniverse) -> bool:
-    """True iff no two distinct members answer the same question."""
-    seen: set[str] = set()
-    for atom_id in set(members):
-        q = universe.atom(atom_id).question
-        if q in seen:
-            return False
-        seen.add(q)
-    return True
 
 
 def level_restrict(members: State, n: int, universe: AtomUniverse) -> State:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import operator
 import random
+from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from math import prod
@@ -31,6 +32,7 @@ from .core import (
     AtomUniverse,
     KspaceError,
     State,
+    _ById,
     homogeneous_level,
     level_restrict,
 )
@@ -364,81 +366,104 @@ class TruthRecord:
     """The truth values of atoms in one state, each evaluated at most once,
     on demand, by `truth` on the exact state (never on a masked one, so
     truth stability still tests the level mask).  `bits`, `known` and
-    `true` are bit sets (`AtomUniverse.bits`): the state's members, the
-    atoms evaluated so far and those of them that are true."""
+    `true` are bit sets in the order of `ids` (see `TruthRecords`): the
+    state's members, the atoms evaluated so far and those of them that
+    are true."""
 
-    __slots__ = ("v", "members", "bits", "known", "true")
+    __slots__ = ("v", "members", "ids", "bits", "known", "true")
 
-    def __init__(self, v: Valuation, members: State):
+    def __init__(self, v: Valuation, members: State, ids: list[str], bits: int):
         self.v = v
         self.members = members
-        self.bits = v.universe.bits(members)
+        self.ids = ids
+        self.bits = bits
         self.known = self.true = 0
 
     def true_of(self, wanted: int) -> int:
         """The bits of `wanted` whose atoms are true in the state."""
         missing = wanted & ~self.known
         if missing:
-            universe = self.v.universe
-            self.true |= universe.bits(
-                atom_id for atom_id in universe.from_bits(missing)
-                if truth(self.v, atom_id, self.members))
+            v, members, ids = self.v, self.members, self.ids
+            true, rest = 0, missing
+            while rest:
+                low = rest & -rest
+                if truth(v, ids[low.bit_length() - 1], members):
+                    true |= low
+                rest ^= low
+            self.true |= true
             self.known |= missing
         return self.true & wanted
 
 
 class TruthRecords(dict):
-    """State -> its `TruthRecord`, made on first lookup."""
+    """State -> its `TruthRecord`, made on first lookup.
+
+    Each atom owns one bit, its position in `ids`, the atom ids sorted by
+    level and then id; `levels` holds their levels and `bit` maps an id to
+    its bit (UnknownAtom for any other id).  So the atoms at level n or
+    below are a prefix of the bits for any integer n (`at_or_below`).
+    """
 
     def __init__(self, v: Valuation):
         super().__init__()
         self.v = v
+        pairs = sorted((level, atom_id)
+                       for atom_id, level in v.universe.level_of.items())
+        self.levels = [level for level, _ in pairs]
+        self.ids = [atom_id for _, atom_id in pairs]
+        self.bit: dict[str, int] = _ById(
+            {atom_id: 1 << i for i, atom_id in enumerate(self.ids)})
 
     def __missing__(self, members: State) -> TruthRecord:
-        record = self[members] = TruthRecord(self.v, members)
+        # distinct ids own distinct bits, so their sum is their union
+        bits = sum(map(self.bit.__getitem__, members))
+        record = self[members] = TruthRecord(self.v, members, self.ids, bits)
         return record
+
+    def at_or_below(self, n: int) -> int:
+        """The bits of the atoms at level n or below (0 for n < 0)."""
+        return (1 << bisect_right(self.levels, n)) - 1
 
 
 def check_edge(v: Valuation, edge: ReductionStep, *,
                records: TruthRecords) -> list[str]:
     """Names of the per-edge invariants the edge violates (empty if clean).
 
-    The level checks run on the bit sets of X and Y (`AtomUniverse.bits`),
-    at every integer level m from 0 to one above the top level, unless
-    three mask tests show that none of them can fail.  Soundness
-    preservation and truth stability read the truth bits of X and Y from
-    `records`, which a caller checking many edges keeps across calls so
-    that each state's bit set is built once and each (state, atom) pair is
+    The level checks run on the bit sets of X and Y, whose atoms at or
+    below any level are a prefix mask (`TruthRecords.at_or_below`), at
+    every integer level m from 0 to one above the top level, unless three
+    mask tests show that none of them can fail.  Soundness preservation
+    and truth stability read the truth bits of X and Y from `records`,
+    which a caller checking many edges keeps across calls so that each
+    state's bit set is built once and each (state, atom) pair is
     evaluated at most once.
     """
-    universe = v.universe
     X, s, Y, n = edge.source, edge.chosen, edge.target, edge.level
     fails: list[str] = []
     record_x, record_y = records[X], records[Y]
     x, y = record_x.bits, record_y.bits
-    at_level = universe.at_level
 
-    # a level outside 0..max_level()+1 holds no atom
-    at_n = at_level[n] if 0 <= n < len(at_level) else 0
+    # le_n: every atom at or below n; at_n: every atom at n
+    le_n = records.at_or_below(n)
+    at_n = le_n & ~records.at_or_below(n - 1)
     x_n, y_n = x & at_n, y & at_n
     if x_n & ~y_n or x_n == y_n:
         fails.append("at-level-strict-growth")
     if Y == X:
         fails.append("no-self-step")
-    # le_n: every atom at or below n
-    le_n = universe.at_or_below[min(n, len(at_level) - 1)] if n >= 0 else 0
     # No level check can fail when X and Y differ at or below n (no prefix
     # above n is unchanged), X loses nothing at or below n and Y holds
     # nothing above n (no level loses an atom that a check could name).
     if not ((x ^ y) & le_n and not x & le_n & ~y and not y & ~le_n):
         # lt_*: the atoms of X and Y below m; le_*: at or below m
         lt_x = lt_y = 0
-        for m, at_m in enumerate(at_level):
-            le_x, le_y = lt_x | (x & at_m), lt_y | (y & at_m)
+        for m in range(v.universe.max_level() + 2):
+            le_m = records.at_or_below(m)
+            le_x, le_y = x & le_m, y & le_m
             lost = le_x & ~le_y
             if m <= n and lost:
                 fails.append(f"low-levels-preserved[m={m}]")
-            if lost and y & at_m:
+            if lost and le_y != lt_y:
                 fails.append(f"lost-level-emptied[m={m}]")
             if lt_x == lt_y and m > n:
                 fails.append(f"unchanged-prefix-bound[m={m}]")
@@ -451,8 +476,9 @@ def check_edge(v: Valuation, edge: ReductionStep, *,
     if not x & ~record_x.true_of(x) and y & ~record_y.true_of(y):
         fails.append("soundness-preserved")
     changed = record_x.true_of(le_n) ^ record_y.true_of(le_n)
-    fails.extend(f"truth-stability[{atom_id}]"
-                 for atom_id in universe.from_bits(changed))
+    if changed:
+        fails.extend(f"truth-stability[{atom_id}]" for atom_id in sorted(
+            atom_id for i, atom_id in enumerate(records.ids) if changed >> i & 1))
     return fails
 
 

@@ -22,7 +22,6 @@ from .core import (
     State,
     UnknownAtom,
     UnknownQuestion,
-    is_state,
 )
 from .oracle import PROPOSAL_CAP, Realizer, StateView, Valuation, is_sound
 
@@ -346,8 +345,9 @@ def _check_reads(universe: AtomUniverse, where: str, atoms: set[str],
     """Raise at the first atom, then question, in id order that a condition
     reads but that is unknown or, under a level cap, not strictly below it.
     Run only on a rule that `AtomUniverse.known_below` rejects."""
-    for kind, refs, level_of in (("atom", atoms, universe.level),
-                                 ("question", questions, universe.question_level)):
+    for kind, refs, level_of in (
+            ("atom", atoms, universe.level_of.__getitem__),
+            ("question", questions, universe.question_level)):
         for ref in sorted(refs):
             try:
                 level = level_of(ref)
@@ -403,7 +403,7 @@ def load_instance(doc: InstanceDoc) -> LoadedInstance:
             raise DuplicateTruthRule(f"two truth rules for atom {atom_id!r}")
         truth_rules[atom_id] = cond
     for atom_id, _, atoms, questions in truth:
-        cap = universe.level(atom_id)
+        cap = universe.level_of[atom_id]
         if not universe.known_below(atoms, questions, cap):
             _check_reads(universe, f"truth rule for {atom_id!r}", atoms,
                          questions, cap)
@@ -418,9 +418,9 @@ def load_instance(doc: InstanceDoc) -> LoadedInstance:
     for atom_id in doc.initial:
         if atom_id not in universe:
             raise UnknownReference(f"initial state names unknown atom {atom_id!r}")
-    if not is_state(doc.initial, universe):
-        raise SchemaError("initial members answer some question twice")
     initial = frozenset(doc.initial)
+    if len({universe.question_of[a] for a in initial}) != len(initial):
+        raise SchemaError("initial members answer some question twice")
 
     valuation = _rule_valuation(universe, truth_rules)
     realizer = _rule_realizer(universe, realizer_rules)

@@ -22,8 +22,8 @@ def mask_equation_holds(v, atom_id, members):
     """The level-mask equation: an atom's truth in a state equals its truth
     in the state restricted to the levels below the atom's own."""
     universe = v.universe
-    level = universe.level(atom_id)
-    masked = frozenset(a for a in members if universe.level(a) < level)
+    level = universe.level_of[atom_id]
+    masked = frozenset(a for a in members if universe.level_of[a] < level)
     return truth(v, atom_id, members) == truth(v, atom_id, masked)
 
 

@@ -26,7 +26,7 @@ def check_edge(v: Valuation, edge: ReductionStep) -> list[str]:
     def lr(members, cmp, m):
         """The members whose level is "below", "at" or "at_or_below" m."""
         keep = _CMP[cmp]
-        return frozenset(a for a in members if keep(universe.level(a), m))
+        return frozenset(a for a in members if keep(universe.level_of[a], m))
 
     if not lr(X, "at", n) < lr(Y, "at", n):
         fails.append("at-level-strict-growth")

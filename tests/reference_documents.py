@@ -11,9 +11,9 @@ again and walks every condition a second time while compiling it.
 
 from __future__ import annotations
 
-from typing import NoReturn, Optional
+from typing import Iterable, NoReturn, Optional
 
-from kspace.core import Atom, AtomUniverse, InvalidState, is_state
+from kspace.core import Atom, AtomUniverse, InvalidState
 from kspace.instances import (
     MAX_CONDITION_DEPTH,
     _DOC_KEYS,
@@ -137,6 +137,18 @@ def from_dict(data) -> InstanceDoc:
                        realizer_rules=data["realizer_rules"], initial=data["initial"])
 
 
+def is_state(members: Iterable[str], universe: AtomUniverse) -> bool:
+    """True iff no two distinct members answer the same question: the
+    former `core.is_state`."""
+    seen: set[str] = set()
+    for atom_id in set(members):
+        q = universe.atom(atom_id).question
+        if q in seen:
+            return False
+        seen.add(q)
+    return True
+
+
 def load_instance(doc: InstanceDoc) -> LoadedInstance:
     """Validate a document, compile its conditions and build its universe,
     valuation and realizer.
@@ -174,7 +186,7 @@ def load_instance(doc: InstanceDoc) -> LoadedInstance:
         for ref in sorted(atoms):
             if ref not in universe:
                 raise UnknownReference(f"{where} references unknown atom {ref!r}")
-            level = universe.level(ref)
+            level = universe.level_of[ref]
             if level_cap is not None and level >= level_cap:
                 raise LevelMaskViolation(
                     f"{where} references atom {ref!r} at level "
@@ -191,7 +203,7 @@ def load_instance(doc: InstanceDoc) -> LoadedInstance:
 
     truth_rules = {
         atom_id: compile_checked(expr, f"truth rule for {atom_id!r}",
-                                 universe.level(atom_id))[0]
+                                 universe.level_of[atom_id])[0]
         for atom_id, expr in truth_exprs.items()}
     _require_list(doc.realizer_rules, "realizer_rules")
     realizer_rules = []

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kspace import engine
-from kspace.core import Atom, AtomUniverse
+from kspace.core import Atom, AtomUniverse, UnknownAtom
 from kspace.engine import (
     BudgetExceeded,
     CandidateExplosion,
@@ -439,6 +439,11 @@ class TestEdgeChecks:
         forged = ReductionStep(fs("a0"), fs("a0"), fs("a0"), 0)
         assert "no-self-step" in check_edge(
             t3.valuation, forged, records=TruthRecords(t3.valuation))
+
+    def test_unknown_atom_in_a_state_raises(self, t3):
+        forged = ReductionStep(fs("a0"), fs("nope"), fs("a0", "nope"), 0)
+        with pytest.raises(UnknownAtom):
+            check_edge(t3.valuation, forged, records=TruthRecords(t3.valuation))
 
 
 class TestTraceExport:

@@ -3,17 +3,18 @@
 Every atom and question a condition reads must exist and, in a truth
 rule, lie below the rule's own level.  On a rule that passes, the check
 is one dict lookup per id (`AtomUniverse.known_below`); the ordered
-search through `AtomUniverse.level` and `question_level`, which names the
-first fault, runs only for a rule that fails it.  The counting guard
+search through `AtomUniverse.level_of` and `question_level`, which names
+the first fault, runs only for a rule that fails it.  The counting guard
 checks that cost: loading a clean document enters `question_level` never
-and `level` at most once per truth rule, for the rule's own level.
+and looks up `level_of[...]` at most once per truth rule, for the rule's
+own level.
 """
 
 from collections import Counter
 
 import pytest
 
-from kspace.core import AtomUniverse
+from kspace.core import AtomUniverse, _ById
 from kspace.instances import (
     LevelMaskViolation,
     UnknownReference,
@@ -32,17 +33,35 @@ _CLEAN = {"t3": builtin_t3(),
              for seed in range(200)}}
 
 
+class _CountedById(_ById):
+    """An id table that counts the ids it is indexed with."""
+
+    __slots__ = ("counter",)
+
+    def __getitem__(self, ref):
+        self.counter[ref] += 1
+        return super().__getitem__(ref)
+
+
 @pytest.fixture
 def lookups(monkeypatch):
-    """The ids `AtomUniverse.level` and `question_level` are entered with."""
+    """The ids `AtomUniverse.level_of[...]` and `question_level` are
+    entered with."""
     calls = {"level": Counter(), "question_level": Counter()}
-    for name, counter in calls.items():
-        original = getattr(AtomUniverse, name)
+    original_init = AtomUniverse.__init__
+    original_question_level = AtomUniverse.question_level
 
-        def counted(self, ref, original=original, counter=counter):
-            counter[ref] += 1
-            return original(self, ref)
-        monkeypatch.setattr(AtomUniverse, name, counted)
+    def counted_init(self, atoms):
+        original_init(self, atoms)
+        level_of = _CountedById(self.level_of)
+        level_of.counter = calls["level"]
+        self.level_of = level_of
+
+    def counted_question_level(self, ref):
+        calls["question_level"][ref] += 1
+        return original_question_level(self, ref)
+    monkeypatch.setattr(AtomUniverse, "__init__", counted_init)
+    monkeypatch.setattr(AtomUniverse, "question_level", counted_question_level)
     return calls
 
 

@@ -27,9 +27,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "kspace"
 ALLOWED = {
     "instances.InstanceDoc.to_json":
         "the document writer, paired with the reader InstanceDoc.from_json",
-    "core.AtomUniverse.max_level":
-        "tests/reference_checks.py, the reference the per-edge checks are "
-        "compared against, bounds its level loop with it",
     "core.AtomUniverse.atoms":
         "the public listing of a universe's atoms; tests/reference_checks.py "
         "walks it",

@@ -73,7 +73,7 @@ def test_apply_step_matches_reference(pair, data):
     if data.draw(st.booleans()):
         # one level of the state's own universe, the common case
         n = data.draw(st.integers(-1, universe.max_level() + 2))
-        chosen = {a for a in chosen if universe.level(a) == n} or chosen
+        chosen = {a for a in chosen if universe.level_of[a] == n} or chosen
     chosen = _with_unknown(data, chosen) if data.draw(st.booleans()) else \
         data.draw(st.sampled_from([frozenset, set]))(chosen)
     assert _outcome(lambda: apply_step(universe, members, chosen)) \

@@ -88,7 +88,7 @@ def walks(draw):
 
 
 def _below(universe, state, level):
-    return frozenset(a for a in state if universe.level(a) < level)
+    return frozenset(a for a in state if universe.level_of[a] < level)
 
 
 @settings(max_examples=400, deadline=None)
@@ -102,8 +102,8 @@ def test_memo_keeps_a_verdict_while_the_state_below_its_level_is_unchanged(walk)
     previous = frozenset()  # the state of the memo's last call
     for state, asked in steps:
         if asked:
-            held = {a for a in held if _below(universe, state, universe.level(a))
-                    == _below(universe, previous, universe.level(a))}
+            held = {a for a in held if _below(universe, state, universe.level_of[a])
+                    == _below(universe, previous, universe.level_of[a])}
             previous = state
         views = {}
         for atom_id in asked:
@@ -163,7 +163,7 @@ def test_run_evaluates_each_atom_once_per_state_below_its_level(
 
     def counted(v, atom_id, members, views=None):
         calls.append(atom_id)
-        pairs.add((atom_id, _below(universe, members, universe.level(atom_id))))
+        pairs.add((atom_id, _below(universe, members, universe.level_of[atom_id])))
         return truth(v, atom_id, members, views)
     monkeypatch.setattr(oracle, "truth", counted)
     code, out = _run_json(str(path), "lowest-level-first")
