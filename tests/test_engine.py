@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kspace import engine
-from kspace.core import Atom, AtomUniverse, UnknownAtom
+from kspace.core import Atom, AtomUniverse, UnknownAtom, level_restrict
 from kspace.engine import (
     BudgetExceeded,
     CandidateExplosion,
@@ -34,6 +34,7 @@ from kspace.oracle import Realizer, Valuation, realize, truth
 from conftest import edges_of, fs
 from reference_explorer import enumerate_candidates, explore_tree_by_paths
 from test_acceptance import _fuzz_params
+from test_core import universe_and_state
 
 T3_NORMAL_FORM = fs("a0", "b1'", "c2")
 
@@ -444,6 +445,48 @@ class TestEdgeChecks:
         forged = ReductionStep(fs("a0"), fs("nope"), fs("a0", "nope"), 0)
         with pytest.raises(UnknownAtom):
             check_edge(t3.valuation, forged, records=TruthRecords(t3.valuation))
+
+
+def _records(universe):
+    return TruthRecords(Valuation(universe, lambda atom, view: False))
+
+
+class TestTruthRecordBits:
+    # level order (x, y, w) is not id order (w, x, y)
+    universe = AtomUniverse([Atom("w", "qw", 3), Atom("x", "qx", 0),
+                             Atom("y", "qy", 0)])
+
+    def test_bits_one_per_atom(self):
+        records = _records(self.universe)
+        assert records.ids == ["x", "y", "w"]
+        assert records.levels == [0, 0, 3]
+        assert records[fs()].bits == 0
+        assert records[fs("x", "y")].bits == 0b011
+        assert records[fs("w")].bits == 0b100
+        with pytest.raises(UnknownAtom):
+            records[fs("x", "nope")]
+
+    def test_level_masks_cover_every_integer_level(self):
+        records = _records(self.universe)
+        assert [records.at_or_below(n) for n in range(-2, 6)] \
+            == [0, 0, 0b011, 0b011, 0b011, 0b111, 0b111, 0b111]
+        assert _records(AtomUniverse([])).at_or_below(0) == 0
+
+
+@given(universe_and_state(), st.integers(-1, 5))
+def test_level_masks_match_restriction(pair, n):
+    universe, X = pair
+    records = _records(universe)
+
+    def bits(members):
+        return sum(map(records.bit.__getitem__, members))
+
+    le_n = records.at_or_below(n)
+    lt_n = records.at_or_below(n - 1)
+    kept = bits(level_restrict(X, n, universe))
+    assert bits(X) & le_n == kept
+    assert bits(X) & le_n & ~lt_n == kept & ~lt_n
+    assert le_n & ~lt_n == bits(a.id for a in universe.atoms() if a.level == n)
 
 
 class TestTraceExport:

@@ -65,6 +65,31 @@ class TestLoadInstance:
             load_instance(doc)
 
 
+class TestInitialIsState:
+    # the initial members must form a state: no two answer one question
+    def load(self, initial):
+        doc = builtin_t3()
+        doc.initial = initial
+        return load_instance(doc)
+
+    def test_empty(self):
+        assert self.load([]).initial == fs()
+
+    def test_shared_question_rejected(self):
+        with pytest.raises(SchemaError, match="answer some question twice"):
+            self.load(["a0", "b1", "b1'"])
+
+    def test_distinct_questions(self):
+        assert self.load(["a0", "b1'"]).initial == fs("a0", "b1'")
+        # a state, so the load goes on to the soundness check
+        with pytest.raises(UnsoundInitial):
+            self.load(["a0", "b1", "c2"])
+
+    def test_unknown_atom(self):
+        with pytest.raises(UnknownReference, match="'nope'"):
+            self.load(["nope", "a0"])
+
+
 class TestDocSchema:
     def test_roundtrip(self):
         doc = builtin_t3()
