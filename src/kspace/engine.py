@@ -508,7 +508,7 @@ def explore_tree(root: State, r: Realizer, v: Valuation,
     computed.  With `check_lemmas`, `check_node` runs once per distinct
     state and `check_edge` once per distinct edge, and each failure is
     reported once.  The edge checks share one `TruthRecords` for the call,
-    so each state's bit set is built once and each (state, atom) pair is
+    built at the first edge, so each state's bit set is built once and each (state, atom) pair is
     evaluated at most once per exploration.  The graph is written straight
     into the returned tree: each state's first parent into `parent`, each
     state's steps into `successors`.  The counting pass then takes the
@@ -533,9 +533,11 @@ def explore_tree(root: State, r: Realizer, v: Valuation,
     """
     universe = r.universe
     tree = ReductionTree(parent={root: None})
-    records = TruthRecords(v) if check_lemmas else None
+    # built at the first edge checked: a normal-form root checks none
+    records: Optional[TruthRecords] = None
 
     def expand(members: State) -> list[ReductionStep]:
+        nonlocal records
         candidates = candidates_from_proposals(universe, realize(r, v, members))
         if candidates.proposals.violation is not None:
             tree.violations[members] = candidates.proposals.violation
@@ -544,6 +546,8 @@ def explore_tree(root: State, r: Realizer, v: Valuation,
             for name in check_node(members, candidates):
                 tree.check_failures.append(
                     (ReductionStep(members, frozenset(), members, 0), name))
+            if edges and records is None:
+                records = TruthRecords(v)
             for edge in edges:
                 for name in check_edge(v, edge, records=records):
                     tree.check_failures.append((edge, name))

@@ -159,6 +159,50 @@ def eval_expr(cond: Condition, view: StateView) -> bool:
     return cond(view)
 
 
+#: A compiled realizer rule: the questions it needs answered, the questions
+#: it needs open, the atoms it needs present, the atoms it needs absent, and
+#: its other parts.  It holds when the state passes the four set tests and
+#: every other part holds, evaluated in order.
+RealizerRule = tuple[frozenset[str], frozenset[str], frozenset[str],
+                     frozenset[str], list[Condition]]
+
+
+def compile_rule(expr, atoms: set[str], questions: set[str]) -> RealizerRule:
+    """Compile a realizer rule's condition, adding the atom and question ids
+    it references to `atoms` and `questions`.
+
+    The well-formed `answered` and `present` leaves and their negations
+    among the parts of a top-level "and", or the condition itself when it
+    is one, become the rule's id sets.  Every other part is compiled by
+    `compile_expr` in document order at the depth it has in the condition,
+    so a malformed one raises the SchemaError that `compile_expr` raises
+    for the whole condition.
+    """
+    parts, depth = [expr], 1
+    if isinstance(expr, dict) and len(expr) == 1 and isinstance(expr.get("and"), list):
+        parts, depth = expr["and"], 2
+    # [questions answered, questions open, atoms present, atoms absent]
+    sets: list[set[str]] = [set(), set(), set(), set()]
+    rest: list[Condition] = []
+    for part in parts:
+        if isinstance(part, dict) and len(part) == 1:
+            ((key, ref),) = part.items()
+            negated = key == "not" and isinstance(ref, dict) and len(ref) == 1
+            if negated:
+                ((key, ref),) = ref.items()
+            if isinstance(ref, str):
+                if key == "answered":
+                    questions.add(ref)
+                    sets[negated].add(ref)
+                    continue
+                if key == "present":
+                    atoms.add(ref)
+                    sets[2 + negated].add(ref)
+                    continue
+        rest.append(compile_expr(part, atoms, questions, depth))
+    return (*map(frozenset, sets), rest)
+
+
 # ---------------------------------------------------------------------------
 # documents
 
@@ -280,19 +324,22 @@ def _rule_valuation(universe: AtomUniverse, rules: dict[str, Condition]) -> Valu
 
 
 def _rule_realizer(universe: AtomUniverse,
-                   rules: list[tuple[Condition, list[str], set[str], set[str]]]
+                   rules: list[tuple[RealizerRule, list[str], set[str], set[str]]]
                    ) -> Realizer:
-    """The realizer of a document's rules, each given as its condition, its
-    proposals and the atom and question ids its condition reads: the union
-    of the proposals of the rules whose conditions hold.
+    """The realizer of a document's rules, each given as its compiled
+    condition, its proposals and the atom and question ids its condition
+    reads: the union of the proposals of the rules whose conditions hold.
 
     A call diffs its state against the last state realized and evaluates
     only the rules that read a changed atom or the question of one; every
     other rule reads the same ids in both states and keeps its verdict.
-    The first call evaluates every rule.
+    The first call evaluates every rule.  A rule's question sets are tested
+    against the state's answered questions, built once per call when a
+    rule evaluated has any.
     """
-    conds = [cond for cond, _, _, _ in rules]
+    forms = [form for form, _, _, _ in rules]
     proposals = [ids for _, ids, _, _ in rules]
+    question_of = universe.question_of
     # atom id -> the numbers of the rules that read the atom or its question;
     # the atoms of a question share one list until a rule reads one directly
     by_question: dict[str, list[int]] = {}
@@ -312,8 +359,8 @@ def _rule_realizer(universe: AtomUniverse,
         # a view may hold a mutable set, which the memo must not share
         members = frozenset(view.members())
         if memo is None:
-            stale: Iterable[int] = range(len(conds))
-            verdicts = [False] * len(conds)
+            stale: Iterable[int] = range(len(forms))
+            verdicts = [False] * len(forms)
         else:
             last, verdicts = memo
             touched: set[int] = set()
@@ -321,8 +368,23 @@ def _rule_realizer(universe: AtomUniverse,
                 touched.update(readers.get(atom_id, ()))
             stale = sorted(touched)
             verdicts = verdicts.copy()
+        answered: Optional[set] = None
         for i in stale:
-            verdicts[i] = eval_expr(conds[i], view)
+            need_q, avoid_q, need_a, avoid_a, rest = forms[i]
+            if need_q or avoid_q:
+                if answered is None:
+                    # an id outside the universe maps to None, no question
+                    answered = set(map(question_of.get, members))
+                if not (need_q <= answered and avoid_q.isdisjoint(answered)):
+                    verdicts[i] = False
+                    continue
+            verdict = need_a <= members and avoid_a.isdisjoint(members)
+            if verdict:
+                for cond in rest:
+                    if not eval_expr(cond, view):
+                        verdict = False
+                        break
+            verdicts[i] = verdict
         # committed only after every evaluation has returned, so a call
         # that raises leaves the memo as it was
         memo = members, verdicts
@@ -382,13 +444,15 @@ def load_instance(doc: InstanceDoc) -> LoadedInstance:
     for rule in doc.truth_rules:
         _check_truth_rule(rule)
         truth.append((rule["atom"], *_compiled(rule["condition"])))
-    # (condition, proposals, atom ids read, question ids read)
-    realizer_rules: list[tuple[Condition, list[str], set[str], set[str]]] = []
+    # (compiled condition, proposals, atom ids read, question ids read)
+    realizer_rules: list[tuple[RealizerRule, list[str], set[str], set[str]]] = []
     for rule in doc.realizer_rules:
         _check_realizer_rule(rule)
-        cond, atoms, questions = _compiled(rule["condition"])
+        atoms: set[str] = set()
+        questions: set[str] = set()
+        form = compile_rule(rule["condition"], atoms, questions)
         _require_ids(rule["propose"], "propose")
-        realizer_rules.append((cond, rule["propose"], atoms, questions))
+        realizer_rules.append((form, rule["propose"], atoms, questions))
     _require_ids(doc.initial, "initial")
 
     try:

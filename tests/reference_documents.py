@@ -6,7 +6,11 @@ observable.
 former `instances` functions verbatim, and `from_dict` is the former
 `InstanceDoc.from_dict` as a plain function: it type-checks every field
 and walks every condition, and `load_instance` then runs the field checks
-again and walks every condition a second time while compiling it.
+again and walks every condition a second time while compiling it.  The
+one change to `load_instance` is the form it hands `_rule_realizer`: an
+`instances.RealizerRule` with no set tests, whose one other part is the
+whole compiled condition, so its realizer evaluates every condition as
+a closure.
 """
 
 from __future__ import annotations
@@ -215,7 +219,9 @@ def load_instance(doc: InstanceDoc) -> LoadedInstance:
             if ref not in universe:
                 raise UnknownReference(
                     f"realizer rule {i} proposes unknown atom {ref!r}")
-        realizer_rules.append((cond, rule["propose"], reads, asks))
+        # no set tests: the whole condition is the one closure evaluated
+        form = (frozenset(), frozenset(), frozenset(), frozenset(), [cond])
+        realizer_rules.append((form, rule["propose"], reads, asks))
 
     _require_ids(doc.initial, "initial")
     for atom_id in doc.initial:

@@ -278,6 +278,20 @@ class TestExploreTree:
         assert tree.node_count == 1 and tree.edge_count == 0
         assert tree.max_depth == 0
 
+    def test_truth_records_built_at_the_first_edge_only(self, t3, monkeypatch):
+        built = []
+
+        class Counted(TruthRecords):
+            def __init__(self, v):
+                built.append(v)
+                super().__init__(v)
+        monkeypatch.setattr(engine, "TruthRecords", Counted)
+        # a normal-form root checks no edge, so it builds no records
+        explore_tree(T3_NORMAL_FORM, t3.realizer, t3.valuation)
+        assert built == []
+        tree = explore_tree(fs(), t3.realizer, t3.valuation)
+        assert built == [t3.valuation] and tree.check_failures == []
+
     def test_depth_budget(self, t3):
         with pytest.raises(DepthExceeded) as err:
             explore_tree(fs(), t3.realizer, t3.valuation, fuel_depth=2)

@@ -135,16 +135,41 @@ class _FailingView(StateView):
         return super().answered(question)
 
 
+def _t3_read_through_the_view():
+    """t3 with each realizer condition as the one part of an "or", which
+    the rule compiler keeps as a closure over the view: every rule the
+    realizer evaluates queries the view, where t3's own rules are set
+    tests that never do."""
+    doc = builtin_t3()
+    for rule in doc.realizer_rules:
+        rule["condition"] = {"or": [rule["condition"]]}
+    return doc
+
+
+def _queries(doc, before, state):
+    """The view queries a realizer that last realized `before` makes to
+    realize `state`."""
+    inst = load_instance(doc)
+    inst.realizer.propose(StateView(inst.universe, before))
+    view = _FailingView(inst.universe, state, budget=10**9)
+    inst.realizer.propose(view)
+    return 10**9 - view.budget
+
+
 @pytest.mark.parametrize("budget", range(4))
 def test_failed_evaluation_leaves_the_memo_valid(budget):
-    doc = builtin_t3()
+    doc = _t3_read_through_the_view()
     states = _t3_states()
+    raised = 0
     for before in states:
         for failed in states:
             for after in states:
                 inst = load_instance(doc)
                 ref = reference_realizer(inst.universe, doc)
                 _assert_agrees(inst, ref, before)
-                with contextlib.suppress(_Injected):
+                fails = _queries(doc, before, failed) > budget
+                with pytest.raises(_Injected) if fails else contextlib.nullcontext():
                     inst.realizer.propose(_FailingView(inst.universe, failed, budget))
+                raised += fails
                 _assert_agrees(inst, ref, after)
+    assert raised
