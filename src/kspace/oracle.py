@@ -151,41 +151,51 @@ class TruthMemo:
     level, so a move from state X to X' keeps the verdicts of the atoms at
     levels <= the lowest level in X ^ X' and drops the rest: exact for any
     sequence of states and any valuation that reads the state only through
-    its view.  A call that raises stores nothing."""
+    its view.  `at` moves the memo and gives out its table; `realize` and
+    `is_sound` read their verdicts from it and add the ones it lacks, each
+    as `truth` returns it, so an evaluation that raises stores nothing."""
 
     def __init__(self, universe: AtomUniverse):
         self.universe = universe
         self._members: State = frozenset()
         self._by_level: dict[int, dict[str, bool]] = {}
 
-    def truth(self, v: Valuation, atom_id: str, members: State,
-              views: Optional[dict[int, StateView]] = None) -> bool:
-        """`truth(v, atom_id, members, views)`, kept or evaluated and kept."""
-        level_of = self.universe.level_of
+    def at(self, members: State) -> dict[int, dict[str, bool]]:
+        """The verdicts held for `members`, level -> {atom id: verdict},
+        after moving the memo there.  The caller may add verdicts of this
+        state to the table until the memo moves again."""
         if members is not self._members and members != self._members:
+            level_of = self.universe.level_of
             low = min(map(level_of.__getitem__, members ^ self._members))
             self._by_level = {level: known for level, known
                               in self._by_level.items() if level <= low}
             self._members = members
-        level = level_of[atom_id]
-        known = self._by_level.get(level)
-        if known is None:
-            known = self._by_level[level] = {}
-        verdict = known.get(atom_id)
-        if verdict is None:
-            verdict = known[atom_id] = truth(v, atom_id, members, views)
-        return verdict
+        return self._by_level
 
 
 def is_sound(v: Valuation, members: State,
              memo: Optional[TruthMemo] = None) -> bool:
     """True iff every member of the state is true in it.  Members of one
     level share one masked view (see `truth`); with a `memo`, each verdict
-    is read from it."""
+    is read from its table for the state, or evaluated and added to it."""
     views: dict[int, StateView] = {}
     if memo is None:
         return all(truth(v, a, members, views) for a in members)
-    return all(memo.truth(v, a, members, views) for a in members)
+    if not members:
+        return True
+    by_level = memo.at(members)
+    level_of = memo.universe.level_of
+    for atom_id in members:
+        level = level_of[atom_id]
+        known = by_level.get(level)
+        if known is None:
+            known = by_level[level] = {}
+        verdict = known.get(atom_id)
+        if verdict is None:
+            verdict = known[atom_id] = truth(v, atom_id, members, views)
+        if not verdict:
+            return False
+    return True
 
 
 class Proposals(frozenset):
@@ -210,18 +220,33 @@ def realize(r: Realizer, v: Valuation, members: State,
     The "question already answered" clause is asked of the view the
     realizer was given, so a question the realizer's own rules asked about
     is answered once.  The truth clause is asked through one masked view
-    per level of the proposals (see `truth`), or read from `memo`."""
+    per level of the proposals (see `truth`); with a `memo`, each verdict
+    is read from its table for the state, or evaluated and added to it."""
     universe = r.universe
     question_of = universe.question_of
+    level_of = universe.level_of
     view = StateView(universe, members)
     views: dict[int, StateView] = {}
-    evaluate = truth if memo is None else memo.truth
+    by_level = None  # the memo's table, taken at the first verdict
     kept, dropped = [], []
     # key=str: an id of another type sorts and then fails its lookup
     for atom_id in sorted(r.propose(view), key=str):
         if view.answered(question_of[atom_id]):
             dropped.append((atom_id, CLAUSE_ANSWERED))
-        elif evaluate(v, atom_id, members, views):
+            continue
+        if memo is None:
+            verdict = truth(v, atom_id, members, views)
+        else:
+            if by_level is None:
+                by_level = memo.at(members)
+            level = level_of[atom_id]
+            known = by_level.get(level)
+            if known is None:
+                known = by_level[level] = {}
+            verdict = known.get(atom_id)
+            if verdict is None:
+                verdict = known[atom_id] = truth(v, atom_id, members, views)
+        if verdict:
             kept.append(atom_id)
         else:
             dropped.append((atom_id, CLAUSE_UNTRUE))

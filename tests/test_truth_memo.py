@@ -1,10 +1,14 @@
 """`TruthMemo`, the truth memo of `run`, against a memo-free `truth`.
 
 A memo keeps an atom's verdict while the state below the atom's level is
-unchanged.  The property test walks it over arbitrary sequences of states,
-jumps back to earlier states included: each verdict equals a fresh `truth`,
-the valuation runs exactly when no verdict is held under that rule, and a
-call that raises stores nothing.  The `run` tests check the CLI's
+unchanged.  The first property test walks it over arbitrary sequences of
+states, jumps back to earlier states included, reading verdicts through
+`TruthMemo.at`, `is_sound` and `realize`: each verdict equals a fresh
+`truth`, the valuation runs exactly when no verdict is held under that
+rule, and an evaluation that raises stores nothing.  The second compares
+`realize` and `is_sound` with and without a memo, on forged proposals and
+on states that hold ids outside the universe: a call that reads no
+verdict leaves the memo where it was.  The `run` tests check the CLI's
 `sound_after`, `is_sound` and `is_prefixed` against a memo-free
 recomputation, and count the valuation calls of one run."""
 
@@ -20,7 +24,8 @@ from hypothesis import given, settings, strategies as st
 from kspace import cli, oracle
 from kspace.engine import STRATEGY_NAMES, is_prefixed
 from kspace.instances import builtin_argmin, gen_random, load_instance
-from kspace.oracle import TruthMemo, Valuation, is_sound, truth
+from kspace.core import query
+from kspace.oracle import Realizer, TruthMemo, Valuation, is_sound, realize, truth
 
 from test_acceptance import _fuzz_params
 from test_oracle_views import _mask_probe
@@ -57,16 +62,23 @@ def _counting(v):
 
 def _outcome(fn, *args):
     try:
-        return fn(*args)
+        result = fn(*args)
     except Exception as exc:  # compared by type with the fresh call
         return type(exc)
+    if isinstance(result, oracle.Proposals):
+        return sorted(result), result.violation
+    return result
+
+
+ENTRIES = ("at", "is_sound", "realize")
 
 
 @st.composite
 def walks(draw):
-    """(valuation, [(state, atom ids asked there)]): a walk over valid
+    """(valuation, [(state, entry point, atom ids)]): a walk over valid
     states of a `gen_random` or argmin universe, which may return to a
-    state it visited before."""
+    state it visited before.  The atom ids are those `at`'s reader asks
+    or the forged realizer proposes; `is_sound` asks the state's own."""
     seed = draw(st.integers(0, 199))
     inst = draw(st.sampled_from([_fuzz_instance(seed), _argmin_instance(seed)]))
     v = draw(st.sampled_from(sorted(VALUATIONS)).map(lambda name: VALUATIONS[name](inst)))
@@ -83,7 +95,8 @@ def walks(draw):
                      for q in questions]
             state = frozenset(a for a in picks if a is not None)
             visited.append(state)
-        walk.append((state, draw(st.lists(st.sampled_from(ids), max_size=2 * len(ids)))))
+        walk.append((state, draw(st.sampled_from(ENTRIES)),
+                     draw(st.lists(st.sampled_from(ids), max_size=2 * len(ids)))))
     return v, walk
 
 
@@ -91,28 +104,161 @@ def _below(universe, state, level):
     return frozenset(a for a in state if universe.level_of[a] < level)
 
 
+def _forged(universe, proposals):
+    """A realizer that proposes `proposals` in every state."""
+    return Realizer(universe, lambda view: proposals)
+
+
+def _verdicts_asked(v, state, entry, asked):
+    """The atoms whose verdicts `entry` reads in `state`, in its order,
+    each with its fresh `_outcome(truth, ...)`: up to the first that
+    raises and, for `is_sound`, the first that is false."""
+    universe = v.universe
+    if entry == "is_sound":
+        asked = list(state)  # the order of is_sound's own loop
+    elif entry == "realize":
+        asked = [a for a in sorted(set(asked))
+                 if not query(universe.question_of[a], state, universe)]
+    out = []
+    for atom_id in asked:
+        fresh = _outcome(truth, v, atom_id, state)
+        out.append((atom_id, fresh))
+        if isinstance(fresh, type) or (entry == "is_sound" and not fresh):
+            break
+    return out
+
+
 @settings(max_examples=400, deadline=None)
 @given(walks())
 def test_memo_keeps_a_verdict_while_the_state_below_its_level_is_unchanged(walk):
     v, steps = walk
     universe = v.universe
+    level_of = universe.level_of
     counted, calls = _counting(v)
     memo = TruthMemo(universe)
     held: set[str] = set()  # atoms whose verdict the memo should hold
-    previous = frozenset()  # the state of the memo's last call
-    for state, asked in steps:
-        if asked:
-            held = {a for a in held if _below(universe, state, universe.level_of[a])
-                    == _below(universe, previous, universe.level_of[a])}
+    previous = frozenset()  # the state the memo was last moved to
+    for state, entry, asked in steps:
+        verdicts = _verdicts_asked(v, state, entry, asked)
+        if entry == "at" or verdicts:  # the entry point moves the memo
+            held = {a for a in held if _below(universe, state, level_of[a])
+                    == _below(universe, previous, level_of[a])}
             previous = state
-        views = {}
-        for atom_id in asked:
-            before = len(calls)
-            got = _outcome(memo.truth, counted, atom_id, state, views)
-            assert got == _outcome(truth, v, atom_id, state), (sorted(state), atom_id)
-            assert len(calls) - before == (atom_id not in held), (sorted(state), atom_id)
-            if not isinstance(got, type):  # a call that raised stores nothing
-                held.add(atom_id)
+        expected = []  # the atoms the valuation must run for: no verdict held
+        for atom_id, fresh in verdicts:
+            if atom_id not in held:
+                expected.append(atom_id)
+                if not isinstance(fresh, type):  # a verdict that raised is not stored
+                    held.add(atom_id)
+        before = len(calls)
+        if entry == "at":
+            # a reader of the table, as realize and is_sound are
+            table, views = memo.at(state), {}
+            for atom_id, fresh in verdicts:
+                known = table.setdefault(level_of[atom_id], {})
+                got = known.get(atom_id)
+                if got is None:
+                    got = _outcome(truth, counted, atom_id, state, views)
+                    if not isinstance(got, type):
+                        known[atom_id] = got
+                assert got == fresh, (sorted(state), atom_id)
+        elif entry == "is_sound":
+            got = _outcome(is_sound, counted, state, memo)
+            assert got == _outcome(is_sound, v, state), sorted(state)
+        else:
+            got = _outcome(realize, _forged(universe, frozenset(asked)), counted, state, memo)
+            assert got == _outcome(realize, _forged(universe, frozenset(asked)), v, state)
+        assert calls[before:] == expected, sorted(state)
+        if previous is state:
+            table = memo.at(state)
+            assert {a for known in table.values() for a in known} == held, sorted(state)
+            for level, known in table.items():
+                for atom_id, verdict in known.items():
+                    assert level_of[atom_id] == level
+                    assert verdict is truth(v, atom_id, state), (sorted(state), atom_id)
+
+
+# ---------------------------------------------------------------------------
+# realize and is_sound with and without a memo
+
+OUTSIDE = ("no-such-atom", 7)  # an unknown id and an id that is not a str
+
+
+@st.composite
+def call_walks(draw):
+    """(valuation, [(state, entry point, proposals)]) on a `gen_random` or
+    argmin universe.  A state may hold ids outside the universe; the
+    proposals of the forged realizer mix atoms of the universe, answered
+    or open and true or untrue in the state, with ids outside it."""
+    seed = draw(st.integers(0, 199))
+    inst = draw(st.sampled_from([_fuzz_instance(seed), _argmin_instance(seed)]))
+    v = draw(st.sampled_from(sorted(VALUATIONS)).map(lambda name: VALUATIONS[name](inst)))
+    universe = inst.universe
+    pool = [*sorted(atom.id for atom in universe.atoms()), *OUTSIDE]
+    questions = sorted(universe.question_index)
+    visited, walk = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        if visited and draw(st.booleans()):
+            state = visited[draw(st.integers(0, len(visited) - 1))]
+        else:
+            picks = [draw(st.sampled_from([None, *sorted(universe.question_atoms(q))]))
+                     for q in questions]
+            state = frozenset(a for a in picks if a is not None)
+            if draw(st.integers(0, 3)) == 0:
+                state |= draw(st.sets(st.sampled_from(OUTSIDE), min_size=1))
+            visited.append(state)
+        walk.append((state, draw(st.sampled_from(ENTRIES[1:])),
+                     draw(st.frozensets(st.sampled_from(pool)))))
+    return v, walk
+
+
+def _needs_verdict(universe, state, entry, proposals):
+    """Whether the call reads a verdict before it returns or raises."""
+    if entry == "is_sound":
+        return bool(state)
+    if len(proposals) > oracle.PROPOSAL_CAP:
+        return False
+    for atom_id in sorted(proposals, key=str):
+        question = universe.question_of.get(atom_id)
+        if question is None:
+            return False  # realize raises on the id before any verdict
+        if not query(question, state, universe):
+            return True
+    return False
+
+
+@settings(max_examples=400, deadline=None)
+@given(call_walks())
+def test_memo_and_memo_free_calls_agree(walk):
+    v, steps = walk
+    universe = v.universe
+    memo = TruthMemo(universe)
+    position = frozenset()  # the state the memo was last moved to
+    for state, entry, proposals in steps:
+        call = (functools.partial(is_sound, v, state) if entry == "is_sound"
+                else functools.partial(realize, _forged(universe, proposals), v, state))
+        needs = _needs_verdict(universe, state, entry, proposals)
+        inside = all(a in universe.level_of for a in state)
+        table = memo.at(position)  # the memo's table, without moving it
+        snapshot = {level: dict(known) for level, known in table.items()}
+        got = _outcome(call, memo)
+        if needs and not inside:
+            # the memo never moves to a state outside its universe
+            assert isinstance(got, type), sorted(state, key=str)
+        else:
+            assert got == _outcome(call), (sorted(state, key=str), sorted(proposals, key=str))
+        if needs and inside:
+            position = state
+            # every verdict stored equals a fresh one, so none is stored
+            # for an evaluation that raised
+            for level, known in memo.at(state).items():
+                for atom_id, verdict in known.items():
+                    assert universe.level_of[atom_id] == level
+                    assert _outcome(truth, v, atom_id, state) is verdict, atom_id
+        else:
+            # the memo is where it was, with the verdicts it held
+            assert memo.at(position) is table
+            assert {level: dict(known) for level, known in table.items()} == snapshot
 
 
 # ---------------------------------------------------------------------------
