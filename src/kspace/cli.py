@@ -69,6 +69,17 @@ def _parse_ints(text: str, what: str) -> list[int]:
         raise InstanceError(f"bad {what} spec: {text!r}") from None
 
 
+def _open(path: str, mode: str):
+    """`open(path, mode, encoding="utf-8")`.  A path the OS cannot take (a
+    NUL byte, or a character the file system encoding cannot encode, such
+    as a lone surrogate) raises OSError naming the path, as a missing file
+    does, where `open` raises ValueError."""
+    try:
+        return open(path, mode, encoding="utf-8")
+    except ValueError as exc:  # UnicodeEncodeError among them
+        raise OSError(f"cannot open {path!r}: {exc}") from None
+
+
 def resolve_instance(spec: str) -> LoadedInstance:
     """Builtin name (t3, argmin:<f>, cascade:<K>,<width>,<seed>,
     random:<n_atoms>,<max_level>,<n_rules>,<seed>) or a JSON file path."""
@@ -86,7 +97,7 @@ def resolve_instance(spec: str) -> LoadedInstance:
         if len(params) != 4:
             raise InstanceError("random takes <n_atoms>,<max_level>,<n_rules>,<seed>")
         return load_instance(gen_random(*params))
-    with open(spec, encoding="utf-8") as handle:
+    with _open(spec, "r") as handle:
         try:
             text = handle.read()
         except UnicodeDecodeError as exc:
@@ -140,7 +151,7 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
     else:
         out = "\n".join(text_lines) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
+        with _open(args.output, "w") as handle:
             handle.write(out)
     else:
         sys.stdout.write(out)
@@ -264,9 +275,9 @@ def non_negative_int(text: str) -> int:
     return value
 
 
-def build_parser() -> tuple[argparse.ArgumentParser,
-                            dict[str, argparse.ArgumentParser]]:
-    """The top-level parser, and each command's parser by name."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
+    """The top-level parser, and each command's table for the direct parse
+    (see `_command_table`), by command name."""
     parser = argparse.ArgumentParser(
         prog="kspace",
         description="Reduction engine for stratified knowledge states.")
@@ -304,29 +315,94 @@ def build_parser() -> tuple[argparse.ArgumentParser,
             p.add_argument("--no-check-lemmas", dest="check_lemmas",
                            action="store_false", default=True)
 
-    return parser, sub.choices
+    return parser, {name: _command_table(name, p) for name, p in sub.choices.items()}
+
+
+def _command_table(name: str, parser: argparse.ArgumentParser) -> tuple:
+    """(defaults, options, positional) of one command's parser, read off the
+    actions argparse built for it: the namespace a command line with no
+    options fills before its positional (every dest's default, the parser's
+    `set_defaults` and `command`), each option string the direct parse takes
+    to its action, and the one positional's action.  Only plain `store`
+    actions (one value) and `store_const` ones (`store_false` among them)
+    enter `options`; `-h` and any other kind stay with argparse.  argparse
+    keeps a parser's actions and `set_defaults` in `_actions` and
+    `_defaults`."""
+    defaults = {"command": name}
+    options, positionals = {}, []
+    for action in parser._actions:
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            defaults[action.dest] = action.default
+        if not action.option_strings:
+            positionals.append(action)
+        elif (isinstance(action, argparse._StoreAction) and action.nargs is None
+              or isinstance(action, argparse._StoreConstAction)):
+            options.update(dict.fromkeys(action.option_strings, action))
+    for dest, value in parser._defaults.items():
+        defaults.setdefault(dest, value)
+    (positional,) = positionals
+    return defaults, options, positional
 
 
 # built once: building it costs about as much as a small explore call
-PARSER, _COMMAND_PARSERS = build_parser()
+PARSER, _COMMANDS = build_parser()
+
+
+def _parse_direct(argv: list[str]) -> Optional[argparse.Namespace]:
+    """The namespace `PARSER.parse_args(argv)` returns, for a well-formed
+    command line; None for any other.
+
+    A line is well-formed when it starts with a command name, every word
+    that starts with `-` is one of that command's full option strings (so
+    no `=`, abbreviation, `--` or `-h`), each option that takes a value is
+    followed by one that does not start with `-` and that the option's
+    `type` converts and its `choices` admit, and exactly one word, which
+    does not start with `-`, is left for the positional.  On such a line
+    argparse takes the same steps: each option stores its converted value,
+    the last one given wins, and the defaults fill the rest."""
+    table = _COMMANDS.get(argv[0]) if argv else None
+    if table is None:
+        return None
+    defaults, options, positional = table
+    values = dict(defaults)
+    words = iter(argv[1:])
+    for word in words:
+        if word[:1] != "-":
+            if positional is None:  # a second positional
+                return None
+            action, positional = positional, None
+        else:
+            action = options.get(word)
+            if action is None:
+                return None
+            if action.nargs == 0:
+                values[action.dest] = action.const
+                continue
+            word = next(words, "-")
+            if word[:1] == "-":  # no value, or one argparse reads otherwise
+                return None
+        try:
+            value = action.type(word) if action.type is not None else word
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if positional is not None:  # no positional
+        return None
+    return argparse.Namespace(**values)
 
 
 def _parse_args(argv: Optional[list[str]]) -> argparse.Namespace:
-    """`PARSER.parse_args(argv)`, parsing a valid command line once.
-
-    For a command line that starts with a command name, argparse's
-    subparsers action only hands the rest to that command's parser, so this
-    takes that step itself.  Anything else (no command, an unknown one, a
-    top-level `-h`, arguments the command leaves over) goes through
-    `PARSER`, which prints the usage and error it always has."""
+    """`PARSER.parse_args(argv)`.  A well-formed command line (see
+    `_parse_direct`) is parsed directly from the table `build_parser` reads
+    off each command's parser; any other line (no command, an unknown one,
+    `-h`, an abbreviation, `--flag=value`, `--`, a value argparse rejects)
+    goes to `PARSER`, so every usage line, help text, error message and
+    exit code is argparse's."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = _COMMAND_PARSERS.get(argv[0]) if argv else None
-    if command is not None:
-        args, extras = command.parse_known_args(argv[1:])
-        if not extras:
-            args.command = argv[0]
-            return args
-    return PARSER.parse_args(argv)
+    args = _parse_direct(argv)
+    return args if args is not None else PARSER.parse_args(argv)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -21,6 +21,7 @@ from .core import (
     Atom,
     KspaceError,
     State,
+    UnknownAtom,
     query,
 )
 
@@ -149,9 +150,10 @@ class TruthMemo:
 
     By the level mask, an atom's truth depends only on the state below its
     level, so a move from state X to X' keeps the verdicts of the atoms at
-    levels <= the lowest level in X ^ X' and drops the rest: exact for any
-    sequence of states and any valuation that reads the state only through
-    its view.  `at` moves the memo and gives out its table; `realize` and
+    levels <= the lowest level in X ^ X' and drops the rest (all of them
+    when X ^ X' holds an id outside the universe): exact for any sequence
+    of states and any valuation that reads the state only through its
+    view.  `at` moves the memo and gives out its table; `realize` and
     `is_sound` read their verdicts from it and add the ones it lacks, each
     as `truth` returns it, so an evaluation that raises stores nothing."""
 
@@ -165,8 +167,11 @@ class TruthMemo:
         after moving the memo there.  The caller may add verdicts of this
         state to the table until the memo moves again."""
         if members is not self._members and members != self._members:
-            level_of = self.universe.level_of
-            low = min(map(level_of.__getitem__, members ^ self._members))
+            try:
+                low = min(map(self.universe.level_of.__getitem__,
+                              members ^ self._members))
+            except UnknownAtom:  # an id outside the universe: keep none
+                low = -1
             self._by_level = {level: known for level, known
                               in self._by_level.items() if level <= low}
             self._members = members

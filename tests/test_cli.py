@@ -363,6 +363,15 @@ EXIT_CODE_CASES = [
     pytest.param(lambda tmp: ["explore", "t3", "--output",
                               str(tmp / "missing" / "out.txt")],
                  3, "out.txt", id="output-into-missing-dir"),
+    # paths the OS cannot take: open raises ValueError, not OSError
+    pytest.param(["explore", "a\x00b.json"], 3, r"error: cannot open 'a\x00b.json'",
+                 id="nul-in-path"),
+    pytest.param(["explore", "\ud800.json"], 3, r"error: cannot open '\ud800.json'",
+                 id="surrogate-in-path"),
+    pytest.param(["explore", "t3", "--output", "a\x00b.txt"], 3,
+                 r"error: cannot open 'a\x00b.txt'", id="nul-in-output-path"),
+    pytest.param(["explore", "t3", "--output", "\ud800.txt"], 3,
+                 r"error: cannot open '\ud800.txt'", id="surrogate-in-output-path"),
     pytest.param(["run", "t3", "--fuel", "1"], 4, "", id="fuel"),
     pytest.param(["explore", "t3", "--max-depth", "2"], 4, "branch prefix",
                  id="depth-budget"),
