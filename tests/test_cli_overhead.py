@@ -218,6 +218,7 @@ def _parse_outcome(parse, argv):
 @example(["explore", "t3", "--format", "json", "--no-check-lemmas", "cascade:4,2,1"])
 @example(["lint", "t3", "--no-check-lemmas"])
 @example(["run", "", "--seed", "-1"])
+@example(["explore", "t3", "--output", "-x"])
 def test_direct_parse_matches_argparse(argv):
     assert _parse_outcome(cli._parse_args, argv) == _parse_outcome(cli.PARSER.parse_args, argv)
 
