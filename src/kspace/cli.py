@@ -69,15 +69,31 @@ def _parse_ints(text: str, what: str) -> list[int]:
         raise InstanceError(f"bad {what} spec: {text!r}") from None
 
 
-def _open(path: str, mode: str):
-    """`open(path, mode, encoding="utf-8")`.  A path the OS cannot take (a
-    NUL byte, or a character the file system encoding cannot encode, such
-    as a lone surrogate) raises OSError naming the path, as a missing file
-    does, where `open` raises ValueError."""
+def _open(path: str, mode: str, **kwargs):
+    """`open(path, mode, **kwargs)`.  A path the OS cannot take (a NUL byte,
+    or a character the file system encoding cannot encode, such as a lone
+    surrogate) raises OSError naming the path, as a missing file does,
+    where `open` raises ValueError."""
     try:
-        return open(path, mode, encoding="utf-8")
+        return open(path, mode, **kwargs)
     except ValueError as exc:  # UnicodeEncodeError among them
         raise OSError(f"cannot open {path!r}: {exc}") from None
+
+
+def _read_text(path: str) -> str:
+    """The file's text as `open(path, encoding="utf-8").read()` gives it:
+    strict UTF-8, with each "\r\n" and each other "\r" read as "\n".  The
+    file is read in one unbuffered call and decoded in one."""
+    with _open(path, "rb", buffering=0) as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InstanceError(f"{path} is not UTF-8: {exc.reason} at byte "
+                            f"{exc.start}") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def resolve_instance(spec: str) -> LoadedInstance:
@@ -97,13 +113,7 @@ def resolve_instance(spec: str) -> LoadedInstance:
         if len(params) != 4:
             raise InstanceError("random takes <n_atoms>,<max_level>,<n_rules>,<seed>")
         return load_instance(gen_random(*params))
-    with _open(spec, "r") as handle:
-        try:
-            text = handle.read()
-        except UnicodeDecodeError as exc:
-            raise InstanceError(f"{spec} is not UTF-8: {exc.reason} at byte "
-                                f"{exc.start}") from None
-    return load_instance(InstanceDoc.from_json(text))
+    return load_instance(InstanceDoc.from_json(_read_text(spec)))
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -150,11 +160,18 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
         out = _to_json(payload) + "\n"
     else:
         out = "\n".join(text_lines) + "\n"
+    # a path in the output holds the bytes the file system encoding could
+    # not decode as lone surrogates; "surrogateescape" gives them back
     if args.output:
-        with _open(args.output, "w") as handle:
+        with _open(args.output, "w", encoding="utf-8",
+                   errors="surrogateescape") as handle:
             handle.write(out)
-    else:
+        return
+    try:
         sys.stdout.write(out)
+    except UnicodeEncodeError:  # raised before anything was written
+        sys.stdout.flush()
+        sys.stdout.buffer.write(out.encode(sys.stdout.encoding, "surrogateescape"))
 
 
 def cmd_validate(args) -> int:
@@ -406,7 +423,7 @@ def _parse_args(argv: Optional[list[str]]) -> argparse.Namespace:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    # What a command builds (compiled closures, views, frozensets, trees)
+    # What a command builds (compiled conditions, views, frozensets, trees)
     # holds no reference cycles, so reference counting frees it, and the
     # cyclic collector is paused for the command, as Mercurial's `util.nogc`
     # does.

@@ -12,6 +12,7 @@ import json
 import random
 from dataclasses import dataclass
 from itertools import compress
+from types import FunctionType
 from typing import Callable, Iterable, Optional
 
 from .core import (
@@ -79,18 +80,24 @@ def _shown(value) -> str:
 #: evaluating a condition far from the interpreter's recursion limit.
 MAX_CONDITION_DEPTH = 100
 
-#: A compiled condition: a function of a (masked) state view.
-Condition = Callable[[StateView], bool]
+# the tags of compiled condition nodes
+PRESENT, ABSENT, ANSWERED, OPEN, NOT, AND, OR, CONST = range(8)
+
+#: A compiled condition: a node `(tag, arg)`.  PRESENT and ABSENT hold an
+#: atom id, ANSWERED and OPEN a question id (ABSENT and OPEN are a negated
+#: `present` and `answered` leaf), NOT one node, AND and OR a list of
+#: nodes built at load, and CONST a bool.  `eval_expr` evaluates it.
+Condition = tuple
 
 
 def compile_expr(expr, atoms: set[str], questions: set[str],
                  depth: int = 1) -> Condition:
-    """Compile a condition into a function of a state view, adding the atom
-    and question ids it references to `atoms` and `questions`.
+    """Compile a condition into a tree of nodes (see `Condition`), adding
+    the atom and question ids it references to `atoms` and `questions`.
 
-    Raises SchemaError at the first malformed node, in document order.  The
-    compiled function evaluates sub-conditions in document order and stops
-    at the first that decides an "and" or "or".
+    Raises SchemaError at the first malformed node, in document order.  No
+    node shares a list or dict with the condition, so changing the
+    condition afterwards changes nothing compiled.
     """
     if depth > MAX_CONDITION_DEPTH:
         raise SchemaError(
@@ -104,7 +111,7 @@ def compile_expr(expr, atoms: set[str], questions: set[str],
         if not isinstance(value, str):
             raise SchemaError("answered takes an id string")
         questions.add(value)
-        return lambda view: view.answered(value)
+        return ANSWERED, value
     if key in ("and", "or"):
         if not isinstance(value, list):
             raise SchemaError(f"{key} takes a list of conditions")
@@ -113,22 +120,9 @@ def compile_expr(expr, atoms: set[str], questions: set[str],
         subs = []
         for sub in value:
             subs.append(compile_expr(sub, atoms, questions, depth + 1))
-        if key == "and":
-            def conjunction(view: StateView) -> bool:
-                for sub in subs:
-                    if not sub(view):
-                        return False
-                return True
-            return conjunction
-
-        def disjunction(view: StateView) -> bool:
-            for sub in subs:
-                if sub(view):
-                    return True
-            return False
-        return disjunction
+        return (AND if key == "and" else OR), subs
     if key == "not":
-        # a negated well-formed leaf within the depth bound is one closure;
+        # a negated well-formed leaf within the depth bound is one node;
         # anything else compiles, or fails, as the general case does
         if (depth < MAX_CONDITION_DEPTH and isinstance(value, dict)
                 and len(value) == 1):
@@ -136,33 +130,67 @@ def compile_expr(expr, atoms: set[str], questions: set[str],
             if isinstance(ref, str):
                 if leaf == "answered":
                     questions.add(ref)
-                    return lambda view: not view.answered(ref)
+                    return OPEN, ref
                 if leaf == "present":
                     atoms.add(ref)
-                    return lambda view: not view.present(ref)
-        inner = compile_expr(value, atoms, questions, depth + 1)
-        return lambda view: not inner(view)
+                    return ABSENT, ref
+        return NOT, compile_expr(value, atoms, questions, depth + 1)
     if key == "present":
         if not isinstance(value, str):
             raise SchemaError("present takes an id string")
         atoms.add(value)
-        return lambda view: view.present(value)
+        return PRESENT, value
     if key == "const":
         if not isinstance(value, bool):
             raise SchemaError("const takes a boolean")
-        return lambda view: value
+        return CONST, value
     raise SchemaError(f"unknown condition key {_shown(key)}")
 
 
 def eval_expr(cond: Condition, view: StateView) -> bool:
-    """One evaluation of a compiled condition on a state view."""
-    return cond(view)
+    """One evaluation of a compiled condition on a state view.
+
+    Sub-conditions are evaluated in document order, stopping at the first
+    that decides an "and" or "or", and every leaf reads the state through
+    the view, so a masked view enforces its level mask.
+    """
+    # the constant and the leaves first: a third of the fuzz corpus's truth
+    # conditions are constants, and a cascade's are all leaves
+    tag, arg = cond
+    if tag == CONST:
+        return arg
+    if tag == PRESENT:
+        return view.present(arg)
+    if tag == ABSENT:
+        return not view.present(arg)
+    if tag == ANSWERED:
+        return view.answered(arg)
+    if tag == OPEN:
+        return not view.answered(arg)
+    if tag == AND:
+        for sub in arg:
+            if not _eval(sub, view):
+                return False
+        return True
+    if tag == OR:
+        for sub in arg:
+            if _eval(sub, view):
+                return True
+        return False
+    return not _eval(arg, view)  # NOT
+
+
+# `eval_expr` under a private name, through which it recurses: one
+# evaluation is one call of `eval_expr` whatever its depth, and a wrapper
+# put on `eval_expr` (a tracer's) is not entered again for each node
+_eval = FunctionType(eval_expr.__code__, globals(), "_eval")
 
 
 #: A compiled realizer rule: the questions it needs answered, the questions
 #: it needs open, the atoms it needs present, the atoms it needs absent, and
-#: its other parts.  It holds when the state passes the four set tests and
-#: every other part holds, evaluated in order.
+#: its other parts, each a compiled condition.  It holds when the state
+#: passes the four set tests and every other part holds, evaluated in order
+#: by `eval_expr`.
 RealizerRule = tuple[frozenset[str], frozenset[str], frozenset[str],
                      frozenset[str], list[Condition]]
 
@@ -176,7 +204,8 @@ def compile_rule(expr, atoms: set[str], questions: set[str]) -> RealizerRule:
     is one, become the rule's id sets.  Every other part is compiled by
     `compile_expr` in document order at the depth it has in the condition,
     so a malformed one raises the SchemaError that `compile_expr` raises
-    for the whole condition.
+    for the whole condition.  The sets and the list of parts are built
+    here, so the rule shares nothing with the condition.
     """
     parts, depth = [expr], 1
     if isinstance(expr, dict) and len(expr) == 1 and isinstance(expr.get("and"), list):
@@ -299,6 +328,14 @@ def _check_realizer_rule(rule) -> None:
 
 
 def _require_ids(value, what: str) -> None:
+    # a list joins only when every entry is a string: one C call for the
+    # common value; any other value runs the check below, for its message
+    if type(value) is list:
+        try:
+            "".join(value)
+            return
+        except TypeError:
+            pass
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise SchemaError(
             f"{what} must be a list of atom id strings, got {_shown(value)}")
@@ -324,7 +361,7 @@ def _rule_valuation(universe: AtomUniverse, rules: dict[str, Condition]) -> Valu
 
 
 def _rule_realizer(universe: AtomUniverse,
-                   rules: list[tuple[RealizerRule, list[str], set[str], set[str]]]
+                   rules: list[tuple[RealizerRule, tuple[str, ...], set[str], set[str]]]
                    ) -> Realizer:
     """The realizer of a document's rules, each given as its compiled
     condition, its proposals and the atom and question ids its condition
@@ -395,13 +432,6 @@ def _rule_realizer(universe: AtomUniverse,
     return Realizer(universe, propose)
 
 
-def _compiled(expr) -> tuple[Condition, set[str], set[str]]:
-    """A condition compiled, with the atom and question ids it reads."""
-    atoms: set[str] = set()
-    questions: set[str] = set()
-    return compile_expr(expr, atoms, questions), atoms, questions
-
-
 def _check_reads(universe: AtomUniverse, where: str, atoms: set[str],
                  questions: set[str], level_cap: Optional[int]) -> None:
     """Raise at the first atom, then question, in id order that a condition
@@ -442,17 +472,30 @@ def load_instance(doc: InstanceDoc) -> LoadedInstance:
     # (atom id, condition, atom ids read, question ids read)
     truth: list[tuple[str, Condition, set[str], set[str]]] = []
     for rule in doc.truth_rules:
-        _check_truth_rule(rule)
-        truth.append((rule["atom"], *_compiled(rule["condition"])))
-    # (compiled condition, proposals, atom ids read, question ids read)
-    realizer_rules: list[tuple[RealizerRule, list[str], set[str], set[str]]] = []
-    for rule in doc.realizer_rules:
-        _check_realizer_rule(rule)
+        # the common entry in one test; any other gets the full checks
+        if not (type(rule) is dict and len(rule) == 2
+                and type(rule.get("atom")) is str and "condition" in rule):
+            _check_truth_rule(rule)
         atoms: set[str] = set()
         questions: set[str] = set()
+        cond = compile_expr(rule["condition"], atoms, questions)
+        truth.append((rule["atom"], cond, atoms, questions))
+    # (compiled condition, proposals, atom ids read, question ids read), and
+    # every id any rule proposes
+    realizer_rules: list[tuple[RealizerRule, tuple[str, ...], set[str], set[str]]] = []
+    proposed: set[str] = set()
+    for rule in doc.realizer_rules:
+        if not (type(rule) is dict and len(rule) == 2
+                and "condition" in rule and "propose" in rule):
+            _check_realizer_rule(rule)
+        atoms = set()
+        questions = set()
         form = compile_rule(rule["condition"], atoms, questions)
         _require_ids(rule["propose"], "propose")
-        realizer_rules.append((form, rule["propose"], atoms, questions))
+        # a copy, so that changing the document changes no proposal
+        proposals = tuple(rule["propose"])
+        realizer_rules.append((form, proposals, atoms, questions))
+        proposed.update(proposals)
     _require_ids(doc.initial, "initial")
 
     try:
@@ -471,13 +514,16 @@ def load_instance(doc: InstanceDoc) -> LoadedInstance:
         if not universe.known_below(atoms, questions, cap):
             _check_reads(universe, f"truth rule for {atom_id!r}", atoms,
                          questions, cap)
+    # one test for the common document: every id proposed is known
+    proposals_known = universe.level_of.keys() >= proposed
     for i, (_, proposals, atoms, questions) in enumerate(realizer_rules):
         if not universe.known_below(atoms, questions):
             _check_reads(universe, f"realizer rule {i}", atoms, questions, None)
-        for ref in proposals:
-            if ref not in universe:
-                raise UnknownReference(
-                    f"realizer rule {i} proposes unknown atom {ref!r}")
+        if not proposals_known:
+            for ref in proposals:
+                if ref not in universe:
+                    raise UnknownReference(
+                        f"realizer rule {i} proposes unknown atom {ref!r}")
 
     for atom_id in doc.initial:
         if atom_id not in universe:

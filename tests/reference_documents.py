@@ -6,22 +6,23 @@ observable.
 former `instances` functions verbatim, and `from_dict` is the former
 `InstanceDoc.from_dict` as a plain function: it type-checks every field
 and walks every condition, and `load_instance` then runs the field checks
-again and walks every condition a second time while compiling it.  The
-one change to `load_instance` is the form it hands `_rule_realizer`: an
-`instances.RealizerRule` with no set tests, whose one other part is the
-whole compiled condition, so its realizer evaluates every condition as
-a closure.
+again and walks every condition a second time while compiling it.
+`compile_expr` compiles a condition into a closure, as the former one
+did.  The one change to `load_instance` is that it builds its valuation
+and realizer on those closures itself (`_closure_valuation`,
+`_closure_realizer`): the realizer calls every rule's closure on every
+state, so it shares neither the program's condition interpreter nor its
+realizer rule form.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NoReturn, Optional
+from typing import Callable, Iterable, NoReturn, Optional
 
 from kspace.core import Atom, AtomUniverse, InvalidState
 from kspace.instances import (
     MAX_CONDITION_DEPTH,
     _DOC_KEYS,
-    Condition,
     DuplicateTruthRule,
     InstanceDoc,
     LevelMaskViolation,
@@ -34,10 +35,11 @@ from kspace.instances import (
     _check_truth_rule,
     _require_ids,
     _require_list,
-    _rule_realizer,
-    _rule_valuation,
 )
-from kspace.oracle import StateView, is_sound
+from kspace.oracle import Realizer, StateView, Valuation, is_sound
+
+#: A compiled condition: a function of a (masked) state view.
+Condition = Callable[[StateView], bool]
 
 
 def validate_expr(expr, depth: int = 1) -> None:
@@ -153,6 +155,27 @@ def is_state(members: Iterable[str], universe: AtomUniverse) -> bool:
     return True
 
 
+def _closure_valuation(universe: AtomUniverse,
+                       rules: dict[str, Condition]) -> Valuation:
+    # unruled atoms default to false: explicit rules only
+    def evaluate(atom: Atom, view: StateView) -> bool:
+        cond = rules.get(atom.id)
+        return cond(view) if cond is not None else False
+    return Valuation(universe, evaluate)
+
+
+def _closure_realizer(universe: AtomUniverse,
+                      rules: list[tuple[Condition, list[str]]]) -> Realizer:
+    """The union of the proposals of the rules whose conditions hold."""
+    def propose(view: StateView) -> set[str]:
+        out: set[str] = set()
+        for cond, proposals in rules:
+            if cond(view):
+                out.update(proposals)
+        return out
+    return Realizer(universe, propose)
+
+
 def load_instance(doc: InstanceDoc) -> LoadedInstance:
     """Validate a document, compile its conditions and build its universe,
     valuation and realizer.
@@ -213,15 +236,13 @@ def load_instance(doc: InstanceDoc) -> LoadedInstance:
     realizer_rules = []
     for i, rule in enumerate(doc.realizer_rules):
         _check_realizer_rule(rule)
-        cond, reads, asks = compile_checked(rule["condition"], f"realizer rule {i}", None)
+        cond = compile_checked(rule["condition"], f"realizer rule {i}", None)[0]
         _require_ids(rule["propose"], "propose")
         for ref in rule["propose"]:
             if ref not in universe:
                 raise UnknownReference(
                     f"realizer rule {i} proposes unknown atom {ref!r}")
-        # no set tests: the whole condition is the one closure evaluated
-        form = (frozenset(), frozenset(), frozenset(), frozenset(), [cond])
-        realizer_rules.append((form, rule["propose"], reads, asks))
+        realizer_rules.append((cond, rule["propose"]))
 
     _require_ids(doc.initial, "initial")
     for atom_id in doc.initial:
@@ -231,8 +252,8 @@ def load_instance(doc: InstanceDoc) -> LoadedInstance:
         raise SchemaError("initial members answer some question twice")
     initial = frozenset(doc.initial)
 
-    valuation = _rule_valuation(universe, truth_rules)
-    realizer = _rule_realizer(universe, realizer_rules)
+    valuation = _closure_valuation(universe, truth_rules)
+    realizer = _closure_realizer(universe, realizer_rules)
     if not is_sound(valuation, initial):
         raise UnsoundInitial(
             f"initial state {sorted(initial)} is not sound under the rules")

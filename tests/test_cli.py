@@ -6,18 +6,20 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import kspace
-from kspace import engine
+from kspace import cli, engine
 from kspace.cli import main, resolve_instance
 from kspace.instances import (
     RANDOM_MAX_ATOMS,
     RANDOM_MAX_LEVEL,
     RANDOM_MAX_RULES,
     InstanceDoc,
+    InstanceError,
     builtin_t3,
     gen_cascade,
     gen_random,
@@ -592,3 +594,125 @@ def test_any_file_exits_with_a_documented_code(content, fmt):
             if command != "validate":
                 argv += ["--max-nodes", "2000"]
             assert _call_with_utf8_output(argv) in DOCUMENTED_EXIT_CODES, argv
+
+
+# ---------------------------------------------------------------------------
+# reading an instance file and writing a path back
+
+
+def _read_in_text_mode(path):
+    """The instance file read in text mode, as `resolve_instance` read it
+    before it read files in binary: the reference for `cli._read_text`."""
+    with cli._open(path, "r", encoding="utf-8") as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise InstanceError(f"{path} is not UTF-8: {exc.reason} at byte "
+                                f"{exc.start}") from None
+
+
+def _outcome_both_ways(argv):
+    """(exit code, stdout, stderr) of main(argv) with the instance file read
+    by `cli._read_text`, and with it read in text mode."""
+    outcomes = []
+    for read in (cli._read_text, _read_in_text_mode):
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(cli, "_read_text", read), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        outcomes.append((code, out.getvalue(), err.getvalue()))
+    return outcomes
+
+
+_T3_TEXT = builtin_t3().to_json()
+# a UTF-8 text past the 8 KiB a buffered text read decodes at a time
+_LONG_T3_TEXT = _T3_TEXT[:-1] + " " * 9000 + "}"
+
+
+@pytest.mark.parametrize("content, err_part", [
+    pytest.param(_T3_TEXT.replace("\n", "\r\n").encode(), "", id="crlf"),
+    pytest.param(_T3_TEXT.replace("\n", "\r").encode(), "", id="lone-cr"),
+    pytest.param(_T3_TEXT.replace("\n", "\r\n", 3).replace("\n", "\r").encode(), "",
+                 id="crlf-and-lone-cr"),
+    # the line, column and char count "\r\n" as one character
+    pytest.param(b'{\r\n  "atoms": [\r\n\r\n    {"id": "a0",}\r\n  ]\r\n}',
+                 "line 4 column 17 (char 32)", id="json-error-after-crlf-lines"),
+    pytest.param(b'{\r"atoms":\r\r oops}', "line 4 column 2 (char 13)",
+                 id="json-error-after-lone-cr-lines"),
+    pytest.param(_LONG_T3_TEXT.encode()[:9000] + b"\xff" + _LONG_T3_TEXT.encode()[9000:],
+                 "is not UTF-8: invalid start byte at byte 9000", id="non-utf8-past-8k"),
+    pytest.param(_LONG_T3_TEXT.encode()[:8191] + b"\xc3(" + _LONG_T3_TEXT.encode()[8191:],
+                 "is not UTF-8: invalid continuation byte at byte 8191",
+                 id="non-utf8-across-8k"),
+    pytest.param(_LONG_T3_TEXT.encode() + b"\xe2\x82",
+                 f"is not UTF-8: unexpected end of data at byte {len(_LONG_T3_TEXT)}",
+                 id="non-utf8-cut-at-end"),
+])
+@pytest.mark.parametrize("command", ["validate", "explore", "lint", "run"])
+def test_file_reads_as_in_text_mode(tmp_path, content, err_part, command):
+    path = tmp_path / "instance.json"
+    path.write_bytes(content)
+    for fmt in ("text", "json"):
+        binary, text_mode = _outcome_both_ways([command, str(path), "--format", fmt])
+        assert binary == text_mode
+        assert binary[0] == (0 if not err_part else 2)
+        assert err_part in binary[2]
+
+
+@pytest.mark.parametrize("path, message", [
+    ("a\x00b.json", "embedded null byte"),
+    ("\ud800.json", "'utf-8' codec can't encode character '\\ud800' in position 0: "
+                    "surrogates not allowed"),
+])
+def test_unusable_path_reads_as_in_text_mode(path, message):
+    binary, text_mode = _outcome_both_ways(["validate", path])
+    assert binary == text_mode == (3, "", f"error: cannot open {path!r}: {message}\n")
+
+
+def _with_carriage_returns(content, positions, kinds):
+    """`content` with each newline at the given positions turned into the
+    given kind: "\\r\\n", a lone "\\r", or a "\\r" put before it."""
+    lines = content.split(b"\n")
+    if len(lines) == 1:
+        return content
+    ends = [b"\n"] * (len(lines) - 1)
+    for at, kind in zip(positions, kinds):
+        ends[at % len(ends)] = kind
+    return b"".join(line + end for line, end in zip(lines, ends + [b""]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(FILE_BYTES, st.lists(st.integers(0, 200), max_size=8),
+       st.lists(st.sampled_from([b"\r\n", b"\r", b"\r\r\n"]), max_size=8))
+def test_any_file_reads_as_in_text_mode(content, positions, kinds):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "instance.json"
+        path.write_bytes(_with_carriage_returns(content, positions, kinds))
+        binary, text_mode = _outcome_both_ways(["validate", str(path), "--format", "json"])
+        assert binary == text_mode
+
+
+def _t3_at_undecodable_path(tmp_path):
+    """t3 written to a file whose name holds the byte 0xff, which UTF-8
+    cannot decode: the file's path as the OS decodes it, and its bytes."""
+    raw = os.fsencode(tmp_path) + b"/\xff.json"
+    with open(raw, "w", encoding="utf-8") as handle:
+        handle.write(_T3_TEXT)
+    return os.fsdecode(raw), raw
+
+
+def test_output_file_gives_back_an_undecodable_path(tmp_path):
+    path, raw = _t3_at_undecodable_path(tmp_path)
+    out_path = tmp_path / "o.txt"
+    assert main(["validate", path, "--output", str(out_path)]) == 0
+    assert out_path.read_bytes().startswith(b"valid: " + raw + b"\n  atoms: 4\n")
+
+
+def test_strict_stdout_gives_back_an_undecodable_path(tmp_path):
+    path, raw = _t3_at_undecodable_path(tmp_path)
+    buffer = io.BytesIO()
+    out = io.TextIOWrapper(buffer, encoding="utf-8")
+    with contextlib.redirect_stdout(out):
+        assert main(["validate", path]) == 0
+        out.flush()
+    assert buffer.getvalue().startswith(b"valid: " + raw + b"\n  atoms: 4\n")

@@ -10,13 +10,15 @@ from kspace.instances import (
     InstanceDoc,
     builtin_t3,
     compile_expr,
+    eval_expr,
     gen_cascade,
     gen_random,
     load_instance,
 )
 from kspace.oracle import MaskViolation, StateView, realize, truth
 
-from reference_conditions import eval_expr, reference_realizer, reference_valuation
+import reference_conditions
+from reference_conditions import reference_realizer, reference_valuation
 from test_acceptance import _fuzz_params
 
 CASES = [("t3", builtin_t3(), {})]
@@ -113,4 +115,5 @@ def test_random_condition_matches_reference(expr, state, cap):
     assert questions == {ref for key, ref in leaves if key == "answered"}
     # same value, or the same mask violation from the same first query
     view = StateView(_UNIVERSE, state, level_cap=cap)
-    assert _outcome(lambda: cond(view)) is _outcome(lambda: eval_expr(expr, view))
+    assert _outcome(lambda: eval_expr(cond, view)) \
+        is _outcome(lambda: reference_conditions.eval_expr(expr, view))

@@ -19,7 +19,7 @@ from kspace.instances import (
     gen_random,
     load_instance,
 )
-from kspace.oracle import is_sound, realize
+from kspace.oracle import is_sound, realize, truth
 
 from conftest import fs, mask_equation_holds
 
@@ -305,6 +305,44 @@ def test_python_built_bad_condition_is_a_schema_error(condition, message):
     doc.realizer_rules[0]["condition"] = condition
     with pytest.raises(SchemaError, match=message):
         load_instance(doc)
+
+
+def _negate_in_place(node) -> None:
+    """Negate every node of a condition, innermost first, each in its own
+    dict, so every dict and list of the condition changes; an "and" or "or"
+    list also gains a part that decides it."""
+    ((key, value),) = node.items()
+    for sub in (value if key in ("and", "or") else [value] if key == "not" else []):
+        _negate_in_place(sub)
+    if key in ("and", "or"):
+        value.reverse()
+        value.append({"const": key == "or"})
+    node.clear()
+    node["not"] = {key: value}
+
+
+def _verdicts(inst, states):
+    return [([truth(inst.valuation, atom.id, state) for atom in inst.universe.atoms()],
+             sorted(realize(inst.realizer, inst.valuation, state)))
+            for state in states]
+
+
+@pytest.mark.parametrize("make_doc", [builtin_t3, lambda: gen_random(12, 3, 10, 7),
+                                      lambda: gen_cascade(3, 2, 0)],
+                         ids=["t3", "random:12,3,10,7", "cascade:3,2,0"])
+def test_changing_a_loaded_document_changes_no_verdict(make_doc):
+    """A loaded instance shares no dict or list with its document: negating
+    every condition node and replacing every proposal list in place after
+    `load_instance` leaves each truth value and realized set as it was."""
+    doc = make_doc()
+    inst = load_instance(doc)
+    states = list(explore_tree(inst.initial, inst.realizer, inst.valuation).parent)
+    before = _verdicts(inst, states)
+    for rule in doc.truth_rules + doc.realizer_rules:
+        _negate_in_place(rule["condition"])
+    for rule in doc.realizer_rules:
+        rule["propose"][:] = [atom["id"] for atom in doc.atoms]
+    assert _verdicts(inst, states) == before
 
 
 class TestT3Dynamics:

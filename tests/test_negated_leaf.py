@@ -1,5 +1,5 @@
 """A negated "answered" or "present" leaf, which `compile_expr` compiles
-into one closure, against the reference loader and interpreter: each form
+into one node, against the reference loader and interpreter: each form
 loads or fails as `reference_documents.load_instance` does, and evaluates
 as `reference_conditions.eval_expr` does."""
 
@@ -13,12 +13,14 @@ from kspace.instances import (
     MAX_CONDITION_DEPTH,
     InstanceDoc,
     compile_expr,
+    eval_expr,
     load_instance,
 )
 from kspace.oracle import StateView, realize, truth
 
 import reference_documents
-from reference_conditions import eval_expr, reference_realizer, reference_valuation
+import reference_conditions
+from reference_conditions import reference_realizer, reference_valuation
 from test_document_differential import _base_document, _outcome
 
 # leaf key -> a level-0 id it may read, an unknown id, and an id the
@@ -112,5 +114,5 @@ def test_compiled_negated_leaf_evaluates_as_reference(case):
     for state in _states(universe):
         for cap in (None, 0, 1, 2, 3):
             view = StateView(universe, state, level_cap=cap)
-            assert _evaluated(lambda: cond(view)) \
-                == _evaluated(lambda: eval_expr(expr, view))
+            assert _evaluated(lambda: eval_expr(cond, view)) \
+                == _evaluated(lambda: reference_conditions.eval_expr(expr, view))

@@ -137,9 +137,9 @@ class _FailingView(StateView):
 
 def _t3_read_through_the_view():
     """t3 with each realizer condition as the one part of an "or", which
-    the rule compiler keeps as a closure over the view: every rule the
-    realizer evaluates queries the view, where t3's own rules are set
-    tests that never do."""
+    the rule compiler keeps as a condition read through the view: every
+    rule the realizer evaluates queries the view, where t3's own rules are
+    set tests that never do."""
     doc = builtin_t3()
     for rule in doc.realizer_rules:
         rule["condition"] = {"or": [rule["condition"]]}

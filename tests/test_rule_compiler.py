@@ -16,12 +16,13 @@ from kspace.instances import (
     _rule_realizer,
     compile_expr,
     compile_rule,
+    eval_expr,
     load_instance,
 )
 from kspace.oracle import StateView
 
 import reference_documents
-from reference_conditions import eval_expr
+import reference_conditions
 from test_condition_differential import _ATOMS, _UNIVERSE
 from test_document_differential import _outcome
 
@@ -127,9 +128,9 @@ def test_propose_matches_reference(exprs, states):
     for state in states:
         expected = set()
         for i, expr in enumerate(exprs):
-            verdict = eval_expr(expr, StateView(_UNIVERSE, state))
-            assert _compiled(compile_expr, expr)[0](StateView(_UNIVERSE, state)) \
-                is verdict
+            verdict = reference_conditions.eval_expr(expr, StateView(_UNIVERSE, state))
+            cond = _compiled(compile_expr, expr)[0]
+            assert eval_expr(cond, StateView(_UNIVERSE, state)) is verdict
             if verdict:
                 expected.add(f"r{i}")
         # the realizer keeps its verdicts from the last state realized
