@@ -328,14 +328,6 @@ def _check_realizer_rule(rule) -> None:
 
 
 def _require_ids(value, what: str) -> None:
-    # a list joins only when every entry is a string: one C call for the
-    # common value; any other value runs the check below, for its message
-    if type(value) is list:
-        try:
-            "".join(value)
-            return
-        except TypeError:
-            pass
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise SchemaError(
             f"{what} must be a list of atom id strings, got {_shown(value)}")
@@ -432,6 +424,13 @@ def _rule_realizer(universe: AtomUniverse,
     return Realizer(universe, propose)
 
 
+def _compiled(expr) -> tuple[Condition, set[str], set[str]]:
+    """A condition compiled, with the atom and question ids it reads."""
+    atoms: set[str] = set()
+    questions: set[str] = set()
+    return compile_expr(expr, atoms, questions), atoms, questions
+
+
 def _check_reads(universe: AtomUniverse, where: str, atoms: set[str],
                  questions: set[str], level_cap: Optional[int]) -> None:
     """Raise at the first atom, then question, in id order that a condition
@@ -472,30 +471,19 @@ def load_instance(doc: InstanceDoc) -> LoadedInstance:
     # (atom id, condition, atom ids read, question ids read)
     truth: list[tuple[str, Condition, set[str], set[str]]] = []
     for rule in doc.truth_rules:
-        # the common entry in one test; any other gets the full checks
-        if not (type(rule) is dict and len(rule) == 2
-                and type(rule.get("atom")) is str and "condition" in rule):
-            _check_truth_rule(rule)
+        _check_truth_rule(rule)
+        truth.append((rule["atom"], *_compiled(rule["condition"])))
+    # (compiled condition, proposals, atom ids read, question ids read)
+    realizer_rules: list[tuple[RealizerRule, tuple[str, ...], set[str], set[str]]] = []
+    for rule in doc.realizer_rules:
+        _check_realizer_rule(rule)
         atoms: set[str] = set()
         questions: set[str] = set()
-        cond = compile_expr(rule["condition"], atoms, questions)
-        truth.append((rule["atom"], cond, atoms, questions))
-    # (compiled condition, proposals, atom ids read, question ids read), and
-    # every id any rule proposes
-    realizer_rules: list[tuple[RealizerRule, tuple[str, ...], set[str], set[str]]] = []
-    proposed: set[str] = set()
-    for rule in doc.realizer_rules:
-        if not (type(rule) is dict and len(rule) == 2
-                and "condition" in rule and "propose" in rule):
-            _check_realizer_rule(rule)
-        atoms = set()
-        questions = set()
         form = compile_rule(rule["condition"], atoms, questions)
         _require_ids(rule["propose"], "propose")
         # a copy, so that changing the document changes no proposal
         proposals = tuple(rule["propose"])
         realizer_rules.append((form, proposals, atoms, questions))
-        proposed.update(proposals)
     _require_ids(doc.initial, "initial")
 
     try:
@@ -514,16 +502,13 @@ def load_instance(doc: InstanceDoc) -> LoadedInstance:
         if not universe.known_below(atoms, questions, cap):
             _check_reads(universe, f"truth rule for {atom_id!r}", atoms,
                          questions, cap)
-    # one test for the common document: every id proposed is known
-    proposals_known = universe.level_of.keys() >= proposed
     for i, (_, proposals, atoms, questions) in enumerate(realizer_rules):
         if not universe.known_below(atoms, questions):
             _check_reads(universe, f"realizer rule {i}", atoms, questions, None)
-        if not proposals_known:
-            for ref in proposals:
-                if ref not in universe:
-                    raise UnknownReference(
-                        f"realizer rule {i} proposes unknown atom {ref!r}")
+        for ref in proposals:
+            if ref not in universe:
+                raise UnknownReference(
+                    f"realizer rule {i} proposes unknown atom {ref!r}")
 
     for atom_id in doc.initial:
         if atom_id not in universe:
