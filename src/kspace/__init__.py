@@ -6,7 +6,6 @@ invariants on concrete instances.
 """
 
 from .core import (
-    Atom,
     AtomUniverse,
     InvalidState,
     KspaceError,

@@ -8,7 +8,6 @@ so that equal member sets compare (and hash) equal everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 
@@ -35,13 +34,6 @@ class InvalidState(KspaceError):
 MAX_LEVEL = 1000
 
 State = frozenset
-
-
-@dataclass(frozen=True)
-class Atom:
-    id: str
-    question: str
-    level: int
 
 
 class _ById(dict):
@@ -73,23 +65,23 @@ class _IdsAtOrBelow(dict):
 class AtomUniverse:
     """Finite, immutable collection of atoms indexed by id and by question.
 
-    `level_of` and `question_of` map each atom id to its level and to its
-    question, and raise UnknownAtom for any other id; `ids_at_or_below[n]`
-    is the frozenset of the ids at level n or below, built for each n on
-    first use.  They let a step work on whole sets at a time.
+    An atom is its id; the universe is built from `(id, question, level)`
+    rows and keeps what each row says in two tables.  `level_of` and
+    `question_of` map each atom id to its level and to its question, and
+    raise UnknownAtom for any other id; `ids_at_or_below[n]` is the
+    frozenset of the ids at level n or below, built for each n on first
+    use.  They let a step work on whole sets at a time.
     """
 
-    def __init__(self, atoms: Iterable[Atom]):
-        self._atoms: dict[str, Atom] = _ById()
+    def __init__(self, atoms: Iterable[tuple[str, str, int]]):
         self.level_of: dict[str, int] = _ById()
         self.question_of: dict[str, str] = _ById()
-        by_id, level_of, question_of = self._atoms, self.level_of, self.question_of
+        level_of, question_of = self.level_of, self.question_of
         self.ids_at_or_below: dict[int, frozenset[str]] = _IdsAtOrBelow(level_of)
         max_level = 0
         index: dict[str, set[str]] = {}
-        for atom in atoms:
-            atom_id, question, level = atom.id, atom.question, atom.level
-            if atom_id in by_id:
+        for atom_id, question, level in atoms:
+            if atom_id in level_of:
                 raise InvalidState(f"duplicate atom id {atom_id!r}")
             if level < 0:
                 raise InvalidState(f"atom {atom_id!r} has negative level")
@@ -100,7 +92,6 @@ class AtomUniverse:
                     shown = ""
                 raise InvalidState(
                     f"atom {atom_id!r} has level{shown} above {MAX_LEVEL}")
-            by_id[atom_id] = atom
             level_of[atom_id] = level
             question_of[atom_id] = question
             if level > max_level:
@@ -119,16 +110,16 @@ class AtomUniverse:
             (self._question_levels[q],) = levels
 
     def __len__(self) -> int:
-        return len(self._atoms)
+        return len(self.level_of)
 
     def __contains__(self, atom_id: str) -> bool:
-        return atom_id in self._atoms
+        return atom_id in self.level_of
 
-    def atoms(self) -> list[Atom]:
-        return sorted(self._atoms.values(), key=lambda a: a.id)
-
-    def atom(self, atom_id: str) -> Atom:
-        return self._atoms[atom_id]
+    def atoms(self) -> list[tuple[str, str, int]]:
+        """The `(id, question, level)` rows, in id order."""
+        question_of = self.question_of
+        return [(atom_id, question_of[atom_id], level)
+                for atom_id, level in sorted(self.level_of.items())]
 
     def question_atoms(self, question: str) -> frozenset[str]:
         try:
@@ -158,7 +149,7 @@ class AtomUniverse:
         return self._max_level
 
     def levels(self) -> list[int]:
-        return sorted({a.level for a in self._atoms.values()})
+        return sorted(set(self.level_of.values()))
 
 
 def level_restrict(members: State, n: int, universe: AtomUniverse) -> State:

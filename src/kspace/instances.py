@@ -16,7 +16,6 @@ from types import FunctionType
 from typing import Callable, Iterable, Optional
 
 from .core import (
-    Atom,
     AtomUniverse,
     InvalidState,
     KspaceError,
@@ -346,8 +345,8 @@ class LoadedInstance:
 
 def _rule_valuation(universe: AtomUniverse, rules: dict[str, Condition]) -> Valuation:
     # unruled atoms default to false: explicit rules only
-    def evaluate(atom: Atom, view: StateView) -> bool:
-        cond = rules.get(atom.id)
+    def evaluate(atom_id: str, view: StateView) -> bool:
+        cond = rules.get(atom_id)
         return eval_expr(cond, view) if cond is not None else False
     return Valuation(universe, evaluate)
 
@@ -467,7 +466,7 @@ def load_instance(doc: InstanceDoc) -> LoadedInstance:
     listed = []
     for entry in doc.atoms:
         _check_atom(entry)
-        listed.append(Atom(entry["id"], entry["question"], entry["level"]))
+        listed.append((entry["id"], entry["question"], entry["level"]))
     # (atom id, condition, atom ids read, question ids read)
     truth: list[tuple[str, Condition, set[str], set[str]]] = []
     for rule in doc.truth_rules:
@@ -577,14 +576,15 @@ def builtin_argmin(points: list[int]) -> LoadedInstance:
     if len(points) > ARGMIN_MAX_POINTS:
         raise InstanceError(f"at most {ARGMIN_MAX_POINTS} points supported")
 
-    atoms = [Atom(f"e{n}", f"q_e{n}", 0) for n in range(len(points))]
-    atoms += [Atom(f"w{m}", "q_w", 1) for m in range(len(points))]
+    atoms = [(f"e{n}", f"q_e{n}", 0) for n in range(len(points))]
+    atoms += [(f"w{m}", "q_w", 1) for m in range(len(points))]
     universe = AtomUniverse(atoms)
+    level_of, question_of = universe.level_of, universe.question_of
 
-    def evaluate(atom: Atom, view: StateView) -> bool:
-        if atom.level == 0:
+    def evaluate(atom_id: str, view: StateView) -> bool:
+        if level_of[atom_id] == 0:
             return True
-        m = int(atom.id[1:])
+        m = int(atom_id[1:])
         return not any(view.present(f"e{n}") for n in range(len(points))
                        if points[n] < points[m])
 
@@ -601,7 +601,7 @@ def builtin_argmin(points: list[int]) -> LoadedInstance:
         return set()
 
     def witness(members: State) -> int:
-        found = [int(a[1:]) for a in members if universe.atom(a).question == "q_w"]
+        found = [int(a[1:]) for a in members if question_of[a] == "q_w"]
         if len(found) != 1:
             raise InstanceError(f"state {sorted(members)} carries no unique witness")
         return found[0]

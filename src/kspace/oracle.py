@@ -18,7 +18,6 @@ from typing import Callable, Iterable, Optional
 
 from .core import (
     AtomUniverse,
-    Atom,
     KspaceError,
     State,
     UnknownAtom,
@@ -95,15 +94,16 @@ class StateView:
 
 
 class Valuation:
-    """Truth procedure over (atom, masked state view)."""
+    """Truth procedure `fn` over (atom id, masked state view).
+
+    `truth` calls `fn` with an id of the universe and the view of the state
+    masked below that atom's level; a procedure that needs the atom's level
+    or question reads the universe's `level_of` or `question_of`."""
 
     def __init__(self, universe: AtomUniverse,
-                 fn: Callable[[Atom, StateView], bool]):
+                 fn: Callable[[str, StateView], bool]):
         self.universe = universe
-        self._fn = fn
-
-    def evaluate(self, atom: Atom, view: StateView) -> bool:
-        return bool(self._fn(atom, view))
+        self.fn = fn
 
 
 class Realizer:
@@ -125,8 +125,9 @@ class Realizer:
 
 def truth(v: Valuation, atom_id: str, members: State,
           views: Optional[dict[int, StateView]] = None) -> bool:
-    """Truth of an atom in a state, through the view masked below the
-    atom's level.
+    """Truth of an atom in a state: the valuation's procedure called with
+    the atom id and the view of the state masked below the atom's level
+    (UnknownAtom for an id outside the universe).
 
     `views` maps a level cap to the masked view of this one state and is
     filled on first use, so that atoms of one level share a view and its
@@ -135,14 +136,13 @@ def truth(v: Valuation, atom_id: str, members: State,
     valuation: a shared view holds the same state and cap, answers each
     question as a fresh one would, and stores nothing for a call that
     raises."""
-    atom = v.universe.atom(atom_id)
+    level = v.universe.level_of[atom_id]
     if views is None:
         views = {}
-    view = views.get(atom.level)
+    view = views.get(level)
     if view is None:
-        view = views[atom.level] = StateView(
-            v.universe, members, level_cap=atom.level)
-    return v.evaluate(atom, view)
+        view = views[level] = StateView(v.universe, members, level_cap=level)
+    return bool(v.fn(atom_id, view))
 
 
 class TruthMemo:

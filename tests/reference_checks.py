@@ -47,7 +47,7 @@ def check_edge(v: Valuation, edge: ReductionStep) -> list[str]:
         fails.append("finiteness-bound")
     if is_sound(v, X) and not is_sound(v, Y):
         fails.append("soundness-preserved")
-    for atom in universe.atoms():
-        if atom.level <= n and truth(v, atom.id, Y) != truth(v, atom.id, X):
-            fails.append(f"truth-stability[{atom.id}]")
+    for atom_id, _, level in universe.atoms():
+        if level <= n and truth(v, atom_id, Y) != truth(v, atom_id, X):
+            fails.append(f"truth-stability[{atom_id}]")
     return fails

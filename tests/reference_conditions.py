@@ -9,7 +9,7 @@ the way `load_instance` used to.
 
 from __future__ import annotations
 
-from kspace.core import Atom, AtomUniverse
+from kspace.core import AtomUniverse
 from kspace.instances import InstanceDoc, SchemaError
 from kspace.oracle import Realizer, StateView, Valuation
 
@@ -34,8 +34,8 @@ def eval_expr(expr, view: StateView) -> bool:
 def reference_valuation(universe: AtomUniverse, doc: InstanceDoc) -> Valuation:
     rules = {rule["atom"]: rule["condition"] for rule in doc.truth_rules}
 
-    def evaluate(atom: Atom, view: StateView) -> bool:
-        expr = rules.get(atom.id)
+    def evaluate(atom_id: str, view: StateView) -> bool:
+        expr = rules.get(atom_id)
         return eval_expr(expr, view) if expr is not None else False
     return Valuation(universe, evaluate)
 

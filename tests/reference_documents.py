@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, NoReturn, Optional
 
-from kspace.core import Atom, AtomUniverse, InvalidState
+from kspace.core import AtomUniverse, InvalidState
 from kspace.instances import (
     MAX_CONDITION_DEPTH,
     _DOC_KEYS,
@@ -37,6 +37,9 @@ from kspace.instances import (
     _require_list,
 )
 from kspace.oracle import Realizer, StateView, Valuation, is_sound
+
+from reference_steps import atom_table
+
 
 #: A compiled condition: a function of a (masked) state view.
 Condition = Callable[[StateView], bool]
@@ -146,9 +149,10 @@ def from_dict(data) -> InstanceDoc:
 def is_state(members: Iterable[str], universe: AtomUniverse) -> bool:
     """True iff no two distinct members answer the same question: the
     former `core.is_state`."""
+    atoms = atom_table(universe)
     seen: set[str] = set()
     for atom_id in set(members):
-        q = universe.atom(atom_id).question
+        q, _ = atoms[atom_id]
         if q in seen:
             return False
         seen.add(q)
@@ -158,8 +162,8 @@ def is_state(members: Iterable[str], universe: AtomUniverse) -> bool:
 def _closure_valuation(universe: AtomUniverse,
                        rules: dict[str, Condition]) -> Valuation:
     # unruled atoms default to false: explicit rules only
-    def evaluate(atom: Atom, view: StateView) -> bool:
-        cond = rules.get(atom.id)
+    def evaluate(atom_id: str, view: StateView) -> bool:
+        cond = rules.get(atom_id)
         return cond(view) if cond is not None else False
     return Valuation(universe, evaluate)
 
@@ -187,7 +191,7 @@ def load_instance(doc: InstanceDoc) -> LoadedInstance:
     listed = []
     for entry in doc.atoms:
         _check_atom(entry)
-        listed.append(Atom(entry["id"], entry["question"], entry["level"]))
+        listed.append((entry["id"], entry["question"], entry["level"]))
     try:
         universe = AtomUniverse(listed)
     except InvalidState as exc:

@@ -27,6 +27,8 @@ from kspace.cli import (
 from kspace.core import KspaceError, State
 from kspace.oracle import Realizer, StateView, Valuation, truth
 
+from reference_steps import atom_table
+
 
 class ContractViolation(KspaceError):
     """A raw proposal broke the realizer contract (strict mode only)."""
@@ -54,10 +56,11 @@ def realize(r: Realizer, v: Valuation, members: State,
         raise ValueError(f"unknown realize mode {mode!r}")
     universe = r.universe
     raw = r.propose(StateView(universe, members))
+    atoms = atom_table(universe)
     kept = []
     for atom_id in sorted(raw):
-        atom = universe.atom(atom_id)
-        if members & universe.question_atoms(atom.question):
+        question, _ = atoms[atom_id]
+        if members & universe.question_atoms(question):
             if mode == "strict":
                 raise ContractViolation(
                     atom_id, ContractViolation.CLAUSE_ANSWERED, members)

@@ -4,7 +4,8 @@ nothing observable.
 
 Each truth evaluation here builds its own masked `StateView` (and so its
 own `answered` memo); the `oracle` functions share one view per level
-cap within a call.
+cap within a call.  Levels and questions are looked up in a table built
+from the universe's `atoms()` rows (`reference_steps.atom_table`).
 """
 
 from __future__ import annotations
@@ -19,11 +20,13 @@ from kspace.oracle import (
     Valuation,
 )
 
+from reference_steps import atom_table
+
 
 def truth(v: Valuation, atom_id: str, members: State) -> bool:
-    atom = v.universe.atom(atom_id)
-    view = StateView(v.universe, members, level_cap=atom.level)
-    return v.evaluate(atom, view)
+    level = atom_table(v.universe)[atom_id][1]
+    view = StateView(v.universe, members, level_cap=level)
+    return bool(v.fn(atom_id, view))
 
 
 def is_sound(v: Valuation, members: State) -> bool:
@@ -32,10 +35,11 @@ def is_sound(v: Valuation, members: State) -> bool:
 
 def realize(r: Realizer, v: Valuation, members: State) -> Proposals:
     universe = r.universe
+    atoms = atom_table(universe)
     view = StateView(universe, members)
     kept, dropped = [], []
     for atom_id in sorted(r.propose(view)):
-        if view.answered(universe.atom(atom_id).question):
+        if view.answered(atoms[atom_id][0]):
             dropped.append((atom_id, CLAUSE_ANSWERED))
         elif truth(v, atom_id, members):
             kept.append(atom_id)

@@ -5,7 +5,9 @@ replaced, kept to check that the tables change nothing observable.
 `core` and `engine` functions verbatim, and `Candidates` is the former
 `engine.Candidates` cut to its listing: the grouping of `__init__`,
 `size`, iteration and `_level_sets`.  Each looks up one atom at a time
-through `AtomUniverse.atom()`.
+in an id -> (question, level) table of its own, built from the
+universe's `atoms()` rows, not in the universe's `level_of` and
+`question_of` tables that the program's step path reads.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from collections.abc import Iterator
 from math import prod
 from typing import Optional
 
-from kspace.core import AtomUniverse, State
+from kspace.core import AtomUniverse, State, UnknownAtom
 from kspace.engine import (
     CANDIDATE_CAP,
     CandidateExplosion,
@@ -25,15 +27,32 @@ from kspace.engine import (
 )
 
 
+class _Table(dict):
+    __slots__ = ()
+
+    def __missing__(self, atom_id):
+        raise UnknownAtom(f"unknown atom id {atom_id!r}")
+
+
+def atom_table(universe: AtomUniverse) -> dict[str, tuple[str, int]]:
+    """Atom id -> (question, level), built from the universe's `atoms()`
+    rows; a lookup of any other id raises UnknownAtom, as the universe's
+    own tables do."""
+    return _Table((atom_id, (question, level))
+                  for atom_id, question, level in universe.atoms())
+
+
 def level_restrict(members: State, n: int, universe: AtomUniverse) -> State:
     """The members at level <= n: the part of the state a step at level n
     keeps."""
-    return frozenset(a for a in members if universe.atom(a).level <= n)
+    atoms = atom_table(universe)
+    return frozenset(a for a in members if atoms[a][1] <= n)
 
 
 def homogeneous_level(members: State, universe: AtomUniverse) -> Optional[int]:
     """The common level of a nonempty single-level state, else None."""
-    levels = {universe.atom(a).level for a in members}
+    atoms = atom_table(universe)
+    levels = {atoms[a][1] for a in members}
     if len(levels) == 1:
         return next(iter(levels))
     return None
@@ -51,9 +70,10 @@ def apply_step(universe: AtomUniverse, members: State,
         raise NotHomogeneous(f"chosen set {sorted(chosen)} is not homogeneous")
     # a chosen atom already in the state is kept: its question is answered
     kept = level_restrict(members, n, universe)
-    questions = {universe.atom(a).question for a in kept}
+    atoms = atom_table(universe)
+    questions = {atoms[a][0] for a in kept}
     for atom_id in chosen:
-        question = universe.atom(atom_id).question
+        question = atoms[atom_id][0]
         if question in questions:
             raise QuestionConflict(
                 f"atom {atom_id!r} answers question {question!r}, which the "
@@ -68,10 +88,11 @@ class Candidates:
 
     def __init__(self, universe: AtomUniverse, proposals: frozenset[str]):
         self.proposals = proposals
+        atoms = atom_table(universe)
         by_level: dict[int, dict[str, list[str]]] = {}
         for atom_id in proposals:
-            atom = universe.atom(atom_id)
-            by_level.setdefault(atom.level, {}).setdefault(atom.question, []).append(atom_id)
+            question, level = atoms[atom_id]
+            by_level.setdefault(level, {}).setdefault(question, []).append(atom_id)
         self.levels = sorted(by_level)
         # level -> the sorted ids of each of its questions
         self._groups = {level: [sorted(ids) for ids in by_level[level].values()]

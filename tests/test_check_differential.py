@@ -5,7 +5,7 @@ forged ones."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kspace.core import Atom, AtomUniverse
+from kspace.core import AtomUniverse
 from kspace.engine import ReductionStep, TruthRecords, check_edge, explore_tree
 from kspace.instances import builtin_t3, gen_cascade, gen_random, load_instance
 from kspace.oracle import Valuation
@@ -47,10 +47,13 @@ def _parity_valuation(universe):
     level, so that steps which erase or add low atoms break truth
     stability and soundness."""
     atoms = universe.atoms()
+    ids = [atom_id for atom_id, _, _ in atoms]
+    level_of = universe.level_of
 
-    def evaluate(atom, view):
-        below = sum(view.present(b.id) for b in atoms if b.level < atom.level)
-        return (below + atoms.index(atom)) % 2 == 0
+    def evaluate(atom_id, view):
+        below = sum(view.present(b) for b, _, level in atoms
+                    if level < level_of[atom_id])
+        return (below + ids.index(atom_id)) % 2 == 0
     return Valuation(universe, evaluate)
 
 
@@ -66,8 +69,8 @@ def gapped_edges(draw):
         for q in range(draw(st.integers(1, 2))):
             question = f"q{level}_{q}"
             for k in range(draw(st.integers(1, 2))):
-                atoms.append(Atom(f"a{level}_{q}_{k}", question, level))
-                questions.setdefault(question, []).append(atoms[-1].id)
+                atoms.append((f"a{level}_{q}_{k}", question, level))
+                questions.setdefault(question, []).append(atoms[-1][0])
 
     def state():
         picks = [draw(st.sampled_from([None, *ids])) for ids in questions.values()]

@@ -4,7 +4,7 @@ values, raw proposals and `realize` results at every reachable state."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kspace.core import Atom, AtomUniverse
+from kspace.core import AtomUniverse
 from kspace.engine import explore_tree
 from kspace.instances import (
     InstanceDoc,
@@ -41,8 +41,8 @@ def test_matches_reference(doc, budget):
     ref_tree = explore_tree(inst.initial, ref_r, ref_v, check_lemmas=False, **budget)
     assert list(tree.parent) == list(ref_tree.parent)
     for state in tree.parent:
-        for atom in universe.atoms():
-            assert truth(inst.valuation, atom.id, state) is truth(ref_v, atom.id, state)
+        for atom_id, _, _ in universe.atoms():
+            assert truth(inst.valuation, atom_id, state) is truth(ref_v, atom_id, state)
         view = StateView(universe, state)
         assert inst.realizer.propose(view) == ref_r.propose(view)
         assert realize(inst.realizer, inst.valuation, state) == realize(ref_r, ref_v, state)
@@ -70,17 +70,18 @@ def _leaves(expr):
 
 
 # a fixed universe: three levels, shared and single-atom questions
-_ATOMS = [Atom("a", "qa", 0), Atom("a'", "qa", 0), Atom("b", "qb", 0),
-          Atom("c", "qc", 1), Atom("c'", "qc", 1), Atom("d", "qd", 2)]
+_ATOMS = [("a", "qa", 0), ("a'", "qa", 0), ("b", "qb", 0),
+          ("c", "qc", 1), ("c'", "qc", 1), ("d", "qd", 2)]
 _UNIVERSE = AtomUniverse(_ATOMS)
 
 
 def _conditions():
     leaves = st.one_of(
         st.builds(lambda v: {"const": v}, st.booleans()),
-        st.builds(lambda a: {"present": a}, st.sampled_from([a.id for a in _ATOMS])),
+        st.builds(lambda a: {"present": a},
+                  st.sampled_from([atom_id for atom_id, _, _ in _ATOMS])),
         st.builds(lambda q: {"answered": q},
-                  st.sampled_from(sorted({a.question for a in _ATOMS}))))
+                  st.sampled_from(sorted({q for _, q, _ in _ATOMS}))))
     return st.recursive(leaves, lambda sub: st.one_of(
         st.builds(lambda c: {"not": c}, sub),
         st.builds(lambda cs: {"and": cs}, st.lists(sub, max_size=4)),
@@ -91,8 +92,8 @@ def _conditions():
 def _states():
     # at most one atom per question
     by_question = {}
-    for atom in _ATOMS:
-        by_question.setdefault(atom.question, []).append(atom.id)
+    for atom_id, question, _ in _ATOMS:
+        by_question.setdefault(question, []).append(atom_id)
     return st.tuples(*[st.sampled_from([None] + ids)
                        for ids in by_question.values()]).map(
         lambda picked: frozenset(a for a in picked if a is not None))

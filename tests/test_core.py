@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kspace.core import (
-    Atom,
     AtomUniverse,
     InvalidState,
     UnknownQuestion,
@@ -16,27 +15,45 @@ from conftest import fs
 
 class TestUniverse:
     def test_duplicate_id_rejected(self):
-        with pytest.raises(InvalidState):
-            AtomUniverse([Atom("x", "q", 0), Atom("x", "q", 0)])
+        with pytest.raises(InvalidState, match=r"^duplicate atom id 'x'$"):
+            AtomUniverse([("x", "q", 0), ("x", "q", 0)])
 
     def test_question_mixing_levels_rejected(self):
-        with pytest.raises(InvalidState):
-            AtomUniverse([Atom("x", "q", 0), Atom("y", "q", 1)])
+        with pytest.raises(InvalidState,
+                           match=r"^question 'q' mixes levels \[0, 1\]$"):
+            AtomUniverse([("x", "q", 0), ("y", "q", 1)])
+
+    @pytest.mark.parametrize("level, message", [
+        (-1, "atom 'x' has negative level"),
+        (1001, "atom 'x' has level 1001 above 1000"),
+    ])
+    def test_level_out_of_range_rejected(self, level, message):
+        with pytest.raises(InvalidState) as info:
+            AtomUniverse([("y", "qy", 0), ("x", "q", level)])
+        assert str(info.value) == message
 
     def test_question_index_partitions(self, t3_universe):
-        all_ids = {a.id for a in t3_universe.atoms()}
+        all_ids = {atom_id for atom_id, _, _ in t3_universe.atoms()}
         indexed = set()
         for q, ids in t3_universe.question_index.items():
             for atom_id in ids:
-                assert t3_universe.atom(atom_id).question == q
+                assert t3_universe.question_of[atom_id] == q
             indexed |= ids
         assert indexed == all_ids
 
     def test_atoms_is_a_fresh_sorted_list(self, t3_universe):
         atoms = t3_universe.atoms()
-        assert [a.id for a in atoms] == ["a0", "b1", "b1'", "c2"]
+        assert atoms == [("a0", "q0", 0), ("b1", "q1", 1), ("b1'", "q1", 1),
+                         ("c2", "q2", 2)]
         atoms.clear()
         assert len(t3_universe.atoms()) == 4
+
+    def test_atoms_gives_the_rows_back_sorted(self):
+        rows = [("c", "qc", 2), ("a", "qa", 0), ("b2", "qb", 1), ("b1", "qb", 1)]
+        universe = AtomUniverse(iter(rows))
+        assert universe.atoms() == sorted(rows)
+        assert len(universe) == 4 and "b2" in universe and "qb" not in universe
+        assert universe.levels() == [0, 1, 2]
 
     def test_question_level(self, t3_universe):
         assert [t3_universe.question_level(q) for q in ("q0", "q1", "q2")] == [0, 1, 2]
@@ -96,15 +113,15 @@ def universe_and_state(draw):
         level = draw(st.integers(0, 4))
         size = draw(st.integers(1, 2))
         for _ in range(min(size, n - len(atoms))):
-            atoms.append(Atom(f"a{len(atoms)}", f"q{question}", level))
+            atoms.append((f"a{len(atoms)}", f"q{question}", level))
         question += 1
     universe = AtomUniverse(atoms)
     members = []
     taken = set()
-    for atom in atoms:
-        if atom.question not in taken and draw(st.booleans()):
-            members.append(atom.id)
-            taken.add(atom.question)
+    for atom_id, atom_question, _ in atoms:
+        if atom_question not in taken and draw(st.booleans()):
+            members.append(atom_id)
+            taken.add(atom_question)
     return universe, frozenset(members)
 
 
@@ -131,7 +148,7 @@ def test_restrict_and_query_outputs_are_states(pair, n):
 
     def is_state(members):
         # no two members share a question
-        questions = [universe.atom(a).question for a in members]
+        questions = [universe.question_of[a] for a in members]
         return len(set(questions)) == len(questions)
 
     assert is_state(level_restrict(X, n, universe))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kspace import engine
-from kspace.core import Atom, AtomUniverse, UnknownAtom, level_restrict
+from kspace.core import AtomUniverse, UnknownAtom, level_restrict
 from kspace.engine import (
     BudgetExceeded,
     CandidateExplosion,
@@ -49,22 +49,22 @@ class TestEnumerateCandidates:
 
     def test_equivalent_proposals_split(self):
         # two answers to one question can never be chosen together
-        universe = AtomUniverse([Atom("p", "q", 0), Atom("p'", "q", 0)])
+        universe = AtomUniverse([("p", "q", 0), ("p'", "q", 0)])
         r = Realizer(universe, lambda view: {"p", "p'"})
-        v = Valuation(universe, lambda atom, view: True)
+        v = Valuation(universe, lambda atom_id, view: True)
         assert enumerate_candidates(fs(), r, v) == [fs("p"), fs("p'")]
 
     def test_cross_question_subsets(self):
-        universe = AtomUniverse([Atom("x", "qx", 0), Atom("y", "qy", 0)])
+        universe = AtomUniverse([("x", "qx", 0), ("y", "qy", 0)])
         r = Realizer(universe, lambda view: {"x", "y"})
-        v = Valuation(universe, lambda atom, view: True)
+        v = Valuation(universe, lambda atom_id, view: True)
         assert enumerate_candidates(fs(), r, v) == [fs("x"), fs("x", "y"), fs("y")]
 
     def test_explosion_cap(self):
         # 13 independent atoms: 8191 candidates, past the cap of 4096
-        universe = AtomUniverse([Atom(f"a{i}", f"q{i}", 0) for i in range(13)])
+        universe = AtomUniverse([(f"a{i}", f"q{i}", 0) for i in range(13)])
         r = Realizer(universe, lambda view: {f"a{i}" for i in range(13)})
-        v = Valuation(universe, lambda atom, view: True)
+        v = Valuation(universe, lambda atom_id, view: True)
         with pytest.raises(CandidateExplosion, match="more than 4096 candidates"):
             enumerate_candidates(fs(), r, v)
 
@@ -79,7 +79,7 @@ def grouped_proposals(draw):
                         min_size=sum(n for _, n in sizes),
                         max_size=sum(n for _, n in sizes), unique=True))
     it = iter(ids)
-    atoms = [Atom(next(it), f"q{q}", level)
+    atoms = [(next(it), f"q{q}", level)
              for q, (level, n) in enumerate(sizes) for _ in range(n)]
     proposals = draw(st.sets(st.sampled_from(ids))) if ids else set()
     return AtomUniverse(atoms), frozenset(proposals)
@@ -109,12 +109,12 @@ class TestCandidates:
         # the proposals are kept and the listed candidates are the steps
         universe, proposals = pair
         r = Realizer(universe, lambda view: proposals)
-        v = Valuation(universe, lambda atom, view: True)
+        v = Valuation(universe, lambda atom_id, view: True)
         listed = list(Candidates(universe, proposals))
         if not listed:  # the strategy is never asked
             assert run(fs(), r, v, lambda cands: None, 1) == ([], fs())
             return
-        ids = [a.id for a in universe.atoms()]
+        ids = [atom_id for atom_id, _, _ in universe.atoms()]
         probes = [frozenset(), set(listed[0]), "a", None, sorted(listed[-1])]
         probes += data.draw(st.lists(st.frozensets(st.sampled_from(ids)),
                                      max_size=20))
@@ -131,8 +131,9 @@ class TestCandidates:
 
     def test_size_past_cap_without_listing(self):
         n = 80
-        universe = AtomUniverse([Atom(f"a{i:02d}", f"q{i}", 0) for i in range(n)])
-        cands = Candidates(universe, frozenset(a.id for a in universe.atoms()))
+        universe = AtomUniverse([(f"a{i:02d}", f"q{i}", 0) for i in range(n)])
+        cands = Candidates(universe, frozenset(
+            atom_id for atom_id, _, _ in universe.atoms()))
         assert cands.size == 2 ** n - 1 and cands
         assert cands[0] == fs("a00")
         assert cands[-1] == fs(f"a{n - 1}")
@@ -158,8 +159,7 @@ class TestApplyStep:
 
     def test_top_level_drops_nothing(self, t3_universe):
         universe = AtomUniverse(
-            [Atom(a.id, a.question, a.level) for a in t3_universe.atoms()]
-            + [Atom("d2", "q3", 2)])
+            t3_universe.atoms() + [("d2", "q3", 2)])
         assert apply_step(universe, fs("a0", "b1'", "c2"), fs("d2")).target \
             == fs("a0", "b1'", "c2", "d2")
 
@@ -431,8 +431,8 @@ class TestEdgeChecks:
         # x's valuation reads past its level mask, so adding the level-1
         # atom z flips x: the one edge {x, y} -> {x, y, z} breaks soundness
         # preservation and truth stability, and three root paths reach it
-        universe = AtomUniverse([Atom("x", "qx", 0), Atom("y", "qy", 0),
-                                 Atom("z", "qz", 1)])
+        universe = AtomUniverse([("x", "qx", 0), ("y", "qy", 0),
+                                 ("z", "qz", 1)])
 
         def propose(view):
             if view.present("x") and view.present("y"):
@@ -440,7 +440,7 @@ class TestEdgeChecks:
             return {"x", "y"}
 
         forged = Valuation(
-            universe, lambda atom, view: atom.id != "x" or "z" not in view._members)
+            universe, lambda atom_id, view: atom_id != "x" or "z" not in view._members)
         r = Realizer(universe, propose)
         tree = explore_tree(fs(), r, forged)
         edge = next(e for e in edges_of(tree) if e.chosen == fs("z"))
@@ -462,13 +462,13 @@ class TestEdgeChecks:
 
 
 def _records(universe):
-    return TruthRecords(Valuation(universe, lambda atom, view: False))
+    return TruthRecords(Valuation(universe, lambda atom_id, view: False))
 
 
 class TestTruthRecordBits:
     # level order (x, y, w) is not id order (w, x, y)
-    universe = AtomUniverse([Atom("w", "qw", 3), Atom("x", "qx", 0),
-                             Atom("y", "qy", 0)])
+    universe = AtomUniverse([("w", "qw", 3), ("x", "qx", 0),
+                             ("y", "qy", 0)])
 
     def test_bits_one_per_atom(self):
         records = _records(self.universe)
@@ -500,7 +500,8 @@ def test_level_masks_match_restriction(pair, n):
     kept = bits(level_restrict(X, n, universe))
     assert bits(X) & le_n == kept
     assert bits(X) & le_n & ~lt_n == kept & ~lt_n
-    assert le_n & ~lt_n == bits(a.id for a in universe.atoms() if a.level == n)
+    assert le_n & ~lt_n == bits(atom_id for atom_id, _, level in universe.atoms()
+                                if level == n)
 
 
 class TestTraceExport:
@@ -538,7 +539,7 @@ def test_dropped_is_the_source_above_the_step_level(family):
                             max_nodes=10**30, check_lemmas=False)
         for edge in edges_of(tree):
             above = {a for a in edge.source
-                     if universe.atom(a).level > edge.level}
+                     if universe.level_of[a] > edge.level}
             assert edge.source - edge.target == above
             record = step_record(inst.valuation, 0, edge)
             assert record["dropped"] == sorted(above)

@@ -135,10 +135,10 @@ def test_budget_sweep_matches_path_reference(doc):
 def _unmasked_parity_valuation(universe):
     """Truth flips with the size of the whole state, read past the level
     mask, so that real steps break truth stability and soundness."""
-    atoms = universe.atoms()
+    ids = [atom_id for atom_id, _, _ in universe.atoms()]
 
-    def evaluate(atom, view):
-        return (len(view._members) + atoms.index(atom)) % 2 == 0
+    def evaluate(atom_id, view):
+        return (len(view._members) + ids.index(atom_id)) % 2 == 0
     return Valuation(universe, evaluate)
 
 

@@ -322,7 +322,8 @@ def _negate_in_place(node) -> None:
 
 
 def _verdicts(inst, states):
-    return [([truth(inst.valuation, atom.id, state) for atom in inst.universe.atoms()],
+    return [([truth(inst.valuation, atom_id, state)
+              for atom_id, _, _ in inst.universe.atoms()],
              sorted(realize(inst.realizer, inst.valuation, state)))
             for state in states]
 
@@ -361,8 +362,8 @@ class TestT3Dynamics:
         inst = load_instance(builtin_t3())
         tree = explore_tree(fs(), inst.realizer, inst.valuation)
         for state in tree.parent:
-            for atom in inst.universe.atoms():
-                assert mask_equation_holds(inst.valuation, atom.id, state)
+            for atom_id, _, _ in inst.universe.atoms():
+                assert mask_equation_holds(inst.valuation, atom_id, state)
 
 
 class TestArgmin:
@@ -387,7 +388,7 @@ class TestArgmin:
         trace, final = run(inst.initial, inst.realizer, inst.valuation,
                            make_strategy("lowest-level-first"), 64)
         erasures = sum(1 for e in trace if e.level == 0 and e.source
-                       and any(inst.universe.atom(a).level == 1
+                       and any(inst.universe.level_of[a] == 1
                                for a in e.source - e.target))
         # strict prefix minima after the initial guess: 2, 1, 0
         assert erasures == 3
@@ -398,7 +399,7 @@ class TestCascade:
     def test_minimal_shape(self):
         doc = gen_cascade(1, 1, 0)
         inst = load_instance(doc)
-        ids = {a.id for a in inst.universe.atoms()}
+        ids = {atom_id for atom_id, _, _ in inst.universe.atoms()}
         assert ids == {"base", "right1", "wrong1_0"}
         assert inst.universe.max_level() == 1
 

@@ -52,8 +52,8 @@ def _ids(case):
 def _states(universe):
     """Every state of the universe: at most one atom per question."""
     by_question = {}
-    for atom in universe.atoms():
-        by_question.setdefault(atom.question, []).append(atom.id)
+    for atom_id, question, _ in universe.atoms():
+        by_question.setdefault(question, []).append(atom_id)
     for picked in itertools.product(*[[None] + ids for ids in by_question.values()]):
         yield frozenset(a for a in picked if a is not None)
 
@@ -88,8 +88,8 @@ def test_negated_leaf_loads_and_evaluates_as_reference(case, field, index):
     ref_v = reference_valuation(universe, doc)
     ref_r = reference_realizer(universe, doc)
     for state in _states(universe):
-        for atom in universe.atoms():
-            assert truth(inst.valuation, atom.id, state) is truth(ref_v, atom.id, state)
+        for atom_id, _, _ in universe.atoms():
+            assert truth(inst.valuation, atom_id, state) is truth(ref_v, atom_id, state)
         assert realize(inst.realizer, inst.valuation, state) \
             == realize(ref_r, ref_v, state)
 

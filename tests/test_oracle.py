@@ -1,6 +1,8 @@
 import pytest
 
-from kspace.core import Atom, AtomUniverse, UnknownAtom
+from kspace.core import AtomUniverse, UnknownAtom
+from kspace.engine import explore_tree
+from kspace.instances import builtin_argmin, builtin_t3, load_instance
 from kspace.oracle import (
     CLAUSE_ANSWERED,
     CLAUSE_UNTRUE,
@@ -29,18 +31,52 @@ class TestTruth:
 
     def test_masked_view_rejects_high_query(self, t3_universe):
         # a valuation peeking at its own level is ill-formed
-        bad = Valuation(t3_universe, lambda atom, view: view.answered("q2"))
+        bad = Valuation(t3_universe, lambda atom_id, view: view.answered("q2"))
         with pytest.raises(MaskViolation):
             truth(bad, "c2", fs())
 
     def test_masked_view_rejects_present_at_or_above_level(self, t3_universe):
         # b1 sits at level 1: a0 lies below it, b1' at it and c2 above it
         def peek(atom_id):
-            return Valuation(t3_universe, lambda atom, view: view.present(atom_id))
+            return Valuation(t3_universe, lambda _, view: view.present(atom_id))
         assert truth(peek("a0"), "b1", fs("a0")) is True
         for atom_id in ("b1'", "c2"):
             with pytest.raises(MaskViolation, match="breaks the mask at cap 1"):
                 truth(peek(atom_id), "b1", fs(atom_id))
+
+    @pytest.mark.parametrize("make", [
+        lambda: load_instance(builtin_t3()),
+        lambda: builtin_argmin([3, 1, 2]),
+    ], ids=["document", "argmin"])
+    def test_procedure_gets_the_id_and_a_view_capped_at_its_level(self, make):
+        inst = make()
+        universe = inst.universe
+        calls = []
+
+        def record(atom_id, view):
+            calls.append((atom_id, view))
+            return inst.valuation.fn(atom_id, view)
+
+        v = Valuation(universe, record)
+        ids = [atom_id for atom_id, _, _ in universe.atoms()]
+        tree = explore_tree(inst.initial, inst.realizer, inst.valuation,
+                            check_lemmas=False)
+        for state in tree.parent:
+            for atom_id in ids:
+                assert truth(v, atom_id, state) \
+                    is truth(inst.valuation, atom_id, state)
+        assert len(calls) == len(tree.parent) * len(ids)
+        for atom_id, view in calls:
+            assert type(atom_id) is str
+            level = universe.level_of[atom_id]
+            # the cap is the atom's level: every id below it is visible,
+            # every id at or above it is masked
+            for other in ids:
+                if universe.level_of[other] < level:
+                    view.present(other)
+                else:
+                    with pytest.raises(MaskViolation):
+                        view.present(other)
 
 
 class TestIsSound:
@@ -63,7 +99,7 @@ class TestRealize:
 
     def test_violation_names_answered_question(self, t3_universe):
         r = Realizer(t3_universe, lambda view: {"b1"})
-        v = Valuation(t3_universe, lambda atom, view: True)
+        v = Valuation(t3_universe, lambda atom_id, view: True)
         result = realize(r, v, fs("b1'"))
         assert result == fs()
         assert result.violation == ("b1", CLAUSE_ANSWERED)
@@ -94,9 +130,9 @@ class TestRealize:
         assert result.violation is None
 
     def test_proposal_cap(self):
-        universe = AtomUniverse([Atom(f"a{i}", f"q{i}", 0) for i in range(65)])
+        universe = AtomUniverse([(f"a{i}", f"q{i}", 0) for i in range(65)])
         r = Realizer(universe, lambda view: {f"a{i}" for i in range(65)})
-        v = Valuation(universe, lambda atom, view: True)
+        v = Valuation(universe, lambda atom_id, view: True)
         with pytest.raises(ProposalCapExceeded, match="65 proposals exceed cap 64"):
             realize(r, v, fs())
 
@@ -123,11 +159,10 @@ class TestLevelMask:
         assert mask_equation_holds(t3.valuation, "b1", fs("a0", "c2"))
 
     def test_holds_on_all_t3_atoms_and_reachable_states(self, t3):
-        from kspace.engine import explore_tree
         tree = explore_tree(fs(), t3.realizer, t3.valuation, check_lemmas=False)
         for state in tree.parent:
-            for atom in t3.universe.atoms():
-                assert mask_equation_holds(t3.valuation, atom.id, state)
+            for atom_id, _, _ in t3.universe.atoms():
+                assert mask_equation_holds(t3.valuation, atom_id, state)
 
 
 class TestStateView:

@@ -48,17 +48,18 @@ def _mask_probe(universe, catch):
     forbids; the others ask the questions below their level.  With
     `catch`, a forbidden query counts as false instead of raising."""
     atoms = universe.atoms()
-    index = {atom.id: i for i, atom in enumerate(atoms)}
+    index = {atom_id: i for i, (atom_id, _, _) in enumerate(atoms)}
+    level_of, question_of = universe.level_of, universe.question_of
 
-    def evaluate(atom, view):
-        if index[atom.id] % 2 == 0:
+    def evaluate(atom_id, view):
+        if index[atom_id] % 2 == 0:
             try:
-                return view.answered(atom.question)
+                return view.answered(question_of[atom_id])
             except MaskViolation:
                 if catch:
                     return False
                 raise
-        below = {b.question for b in atoms if b.level < atom.level}
+        below = {q for _, q, level in atoms if level < level_of[atom_id]}
         return sum(view.answered(q) for q in sorted(below)) % 2 == 0
     return Valuation(universe, evaluate)
 
@@ -83,11 +84,13 @@ def _outcome(fn, *args):
 
 def _truths(v, members):
     views = {}
-    return [_outcome(truth, v, atom.id, members, views) for atom in v.universe.atoms()]
+    return [_outcome(truth, v, atom_id, members, views)
+            for atom_id, _, _ in v.universe.atoms()]
 
 
 def _reference_truths(v, members):
-    return [_outcome(reference.truth, v, atom.id, members) for atom in v.universe.atoms()]
+    return [_outcome(reference.truth, v, atom_id, members)
+            for atom_id, _, _ in v.universe.atoms()]
 
 
 @pytest.mark.parametrize("load,budget", [(load, budget) for _, load, budget in CASES],
@@ -129,9 +132,9 @@ def _recording(v):
     """`v`, recording the level of each atom it evaluates."""
     levels = []
 
-    def evaluate(atom, view):
-        levels.append(atom.level)
-        return v.evaluate(atom, view)
+    def evaluate(atom_id, view):
+        levels.append(v.universe.level_of[atom_id])
+        return v.fn(atom_id, view)
     return Valuation(v.universe, evaluate), levels
 
 
@@ -172,7 +175,7 @@ def test_one_view_per_level(monkeypatch):
         assert built <= bound, sorted(state)
         shared_in_realize |= _views_built(reference.realize, inst.realizer, v, state) > bound
 
-        member_levels = {inst.universe.atom(a).level for a in state}
+        member_levels = {inst.universe.level_of[a] for a in state}
         assert _views_built(is_sound, v, state) <= len(member_levels), sorted(state)
         shared_in_is_sound |= (_views_built(reference.is_sound, v, state)
                                > len(member_levels))

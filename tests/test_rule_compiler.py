@@ -26,8 +26,8 @@ import reference_conditions
 from test_condition_differential import _ATOMS, _UNIVERSE
 from test_document_differential import _outcome
 
-_ATOM_IDS = [a.id for a in _ATOMS]
-_QUESTIONS = sorted({a.question for a in _ATOMS})
+_ATOM_IDS = [atom_id for atom_id, _, _ in _ATOMS]
+_QUESTIONS = sorted({question for _, question, _ in _ATOMS})
 # malformed nodes, each rejected by `compile_expr`
 _MALFORMED = [{"answered": 5}, {"present": None}, {"present": ["a"]},
               {"const": 1}, {"absent": "a"}, {}, "a", 5, None,
@@ -97,8 +97,8 @@ def test_compiles_and_loads_as_compile_expr(expr):
     assert (atoms, questions) == (cond_atoms, cond_questions)
     # in a document: the same first error, or the same instance
     text = json.dumps({
-        "atoms": [{"id": a.id, "question": a.question, "level": a.level}
-                  for a in _ATOMS],
+        "atoms": [{"id": atom_id, "question": question, "level": level}
+                  for atom_id, question, level in _ATOMS],
         "truth_rules": [{"atom": "a", "condition": {"const": True}}],
         "realizer_rules": [{"condition": {"const": True}, "propose": ["a"]},
                            {"condition": expr, "propose": ["a"]}],

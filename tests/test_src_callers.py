@@ -28,8 +28,9 @@ ALLOWED = {
     "instances.InstanceDoc.to_json":
         "the document writer, paired with the reader InstanceDoc.from_json",
     "core.AtomUniverse.atoms":
-        "the public listing of a universe's atoms; tests/reference_checks.py "
-        "walks it",
+        "the public listing of a universe's (id, question, level) rows; the "
+        "reference implementations in tests/ build their own id tables "
+        "from it",
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

@@ -8,7 +8,7 @@ import weakref
 
 from hypothesis import given, settings, strategies as st
 
-from kspace.core import Atom, AtomUniverse, homogeneous_level, level_restrict
+from kspace.core import AtomUniverse, homogeneous_level, level_restrict
 from kspace.engine import Candidates, apply_step
 
 import reference_steps as reference
@@ -39,7 +39,7 @@ def _with_unknown(data, members):
 
 
 def _subset(data, universe):
-    ids = [atom.id for atom in universe.atoms()]
+    ids = [atom_id for atom_id, _, _ in universe.atoms()]
     return data.draw(st.sets(st.sampled_from(ids))) if ids else set()
 
 
@@ -104,8 +104,8 @@ def test_candidates_of_a_state_universe_match_reference(pair, data):
 
 
 def test_one_question_levels_list_singletons_in_id_order():
-    universe = AtomUniverse([Atom(i, "q", 1) for i in ("b", "a", "c")]
-                            + [Atom("x", "qx", 0)])
+    universe = AtomUniverse([(i, "q", 1) for i in ("b", "a", "c")]
+                            + [("x", "qx", 0)])
     proposals = fs("c", "a", "b", "x")
     assert list(Candidates(universe, proposals)) \
         == list(reference.Candidates(universe, proposals)) \
@@ -113,8 +113,8 @@ def test_one_question_levels_list_singletons_in_id_order():
 
 
 def test_ids_at_or_below_built_per_level_on_first_use():
-    universe = AtomUniverse([Atom("a", "qa", 0), Atom("b", "qb", 3),
-                             Atom("c", "qc", 1000)])
+    universe = AtomUniverse([("a", "qa", 0), ("b", "qb", 3),
+                             ("c", "qc", 1000)])
     assert level_restrict(fs("a", "b", "c"), 3, universe) == fs("a", "b")
     assert level_restrict(fs("a", "c"), 0, universe) == fs("a")
     assert dict(universe.ids_at_or_below) == {3: fs("a", "b"), 0: fs("a")}
@@ -124,7 +124,7 @@ def test_tables_hold_no_reference_to_the_universe():
     # reference counting alone frees a universe whose tables are built
     gc.disable()
     try:
-        universe = AtomUniverse([Atom("a", "qa", 0), Atom("b", "qb", 1)])
+        universe = AtomUniverse([("a", "qa", 0), ("b", "qb", 1)])
         apply_step(universe, fs("b"), fs("a"))
         list(Candidates(universe, fs("a", "b")))
         assert universe.ids_at_or_below and universe.question_of

@@ -55,9 +55,9 @@ def _counting(v):
     """`v`, and a list whose length is the number of its evaluations."""
     calls = []
 
-    def evaluate(atom, view):
-        calls.append(atom.id)
-        return v.evaluate(atom, view)
+    def evaluate(atom_id, view):
+        calls.append(atom_id)
+        return v.fn(atom_id, view)
     return Valuation(v.universe, evaluate), calls
 
 
@@ -84,7 +84,7 @@ def walks(draw):
     inst = draw(st.sampled_from([_fuzz_instance(seed), _argmin_instance(seed)]))
     v = draw(st.sampled_from(sorted(VALUATIONS)).map(lambda name: VALUATIONS[name](inst)))
     universe = inst.universe
-    ids = [atom.id for atom in universe.atoms()]
+    ids = [atom_id for atom_id, _, _ in universe.atoms()]
     questions = sorted(universe.question_index)
     visited, walk = [], []
     for _ in range(draw(st.integers(1, 8))):
@@ -195,7 +195,7 @@ def call_walks(draw):
     inst = draw(st.sampled_from([_fuzz_instance(seed), _argmin_instance(seed)]))
     v = draw(st.sampled_from(sorted(VALUATIONS)).map(lambda name: VALUATIONS[name](inst)))
     universe = inst.universe
-    pool = [*sorted(atom.id for atom in universe.atoms()), *OUTSIDE]
+    pool = [*sorted(atom_id for atom_id, _, _ in universe.atoms()), *OUTSIDE]
     questions = sorted(universe.question_index)
     visited, walk = [], []
     for _ in range(draw(st.integers(1, 8))):
