@@ -368,28 +368,31 @@ def _rule_realizer(universe: AtomUniverse,
     forms = [form for form, _, _, _ in rules]
     proposals = [ids for _, ids, _, _ in rules]
     question_of = universe.question_of
-    # atom id -> the numbers of the rules that read the atom or its question;
-    # the atoms of a question share one list until a rule reads one directly
-    by_question: dict[str, list[int]] = {}
-    for i, (_, _, _, questions) in enumerate(rules):
-        for question in questions:
-            by_question.setdefault(question, []).append(i)
-    readers = {atom_id: ids for question, ids in by_question.items()
-               for atom_id in universe.question_atoms(question)}
-    for i, (_, _, atoms, _) in enumerate(rules):
-        for atom_id in atoms:
-            readers[atom_id] = readers.get(atom_id, []) + [i]
+    # atom id -> the numbers of the rules that read the atom or its question,
+    # built at the first diff (many loads realize one state only); the atoms
+    # of a question share one list until a rule reads one directly
+    readers: Optional[dict[str, list[int]]] = None
     # the last state realized and each rule's verdict on it
     memo: Optional[tuple[State, list[bool]]] = None
 
     def propose(view: StateView) -> set[str]:
-        nonlocal memo
+        nonlocal memo, readers
         # a view may hold a mutable set, which the memo must not share
         members = frozenset(view.members())
         if memo is None:
             stale: Iterable[int] = range(len(forms))
             verdicts = [False] * len(forms)
         else:
+            if readers is None:
+                by_question: dict[str, list[int]] = {}
+                for i, (_, _, _, questions) in enumerate(rules):
+                    for question in questions:
+                        by_question.setdefault(question, []).append(i)
+                readers = {atom_id: ids for question, ids in by_question.items()
+                           for atom_id in universe.question_atoms(question)}
+                for i, (_, _, atoms, _) in enumerate(rules):
+                    for atom_id in atoms:
+                        readers[atom_id] = readers.get(atom_id, []) + [i]
             last, verdicts = memo
             touched: set[int] = set()
             for atom_id in last ^ members:
