@@ -367,6 +367,18 @@ class TestT3Dynamics:
 
 
 class TestArgmin:
+    def test_guess_is_true_iff_no_smaller_point_is_evaluated(self):
+        points = [5, 3, 7, 3]
+        inst = builtin_argmin(points)
+        for bits in range(2 ** len(points)):
+            evaluated = [n for n in range(len(points)) if bits >> n & 1]
+            state = frozenset(f"e{n}" for n in evaluated)
+            for n in range(len(points)):
+                assert truth(inst.valuation, f"e{n}", state) is True
+            for m in range(len(points)):
+                expected = all(points[n] >= points[m] for n in evaluated)
+                assert truth(inst.valuation, f"w{m}", state) is expected
+
     def test_every_strategy_finds_the_minimum(self):
         points = [5, 3, 7, 3, 9]
         inst = builtin_argmin(points)
