@@ -46,9 +46,11 @@ class StateView:
     one entry per question asked, so the caller must not mutate the set
     behind it.  A call that raises (a question at or above the cap, an
     unknown question) stores nothing and raises again when repeated.
+    A masked view also holds `verdicts`, atom id -> truth verdict, for the
+    atoms at its cap level, as `truth` returned them through it.
     """
 
-    __slots__ = ("universe", "_members", "_level_cap", "_answered")
+    __slots__ = ("universe", "_members", "_level_cap", "_answered", "verdicts")
 
     def __init__(self, universe: AtomUniverse, members: State,
                  level_cap: Optional[int] = None):
@@ -56,6 +58,7 @@ class StateView:
         self._members = members
         self._level_cap = level_cap
         self._answered: dict[str, bool] = {}
+        self.verdicts: dict[str, bool] = {}
 
     def query(self, question: str) -> State:
         level = self.universe.question_level(question)
@@ -127,14 +130,16 @@ def truth(v: Valuation, atom_id: str, members: State,
           views: Optional[dict[int, StateView]] = None) -> bool:
     """Truth of an atom in a state: the valuation's procedure called with
     the atom id and the view of the state masked below the atom's level
-    (UnknownAtom for an id outside the universe).
+    (UnknownAtom for an id outside the universe).  It evaluates on every
+    call and stores the verdict in the view's `verdicts`; an evaluation
+    that raises stores nothing.
 
-    `views` maps a level cap to the masked view of this one state and is
-    filled on first use, so that atoms of one level share a view and its
-    `answered` memo; without it the call uses a dict of its own.  The
-    result is the same as with a fresh view for any deterministic
-    valuation: a shared view holds the same state and cap, answers each
-    question as a fresh one would, and stores nothing for a call that
+    `views` maps a level cap to a masked view of this one state and is
+    filled on first use, so that atoms of one level share a view, its
+    `answered` memo and its verdicts; without it the call uses a dict of
+    its own.  The result is the same as with a fresh view for any
+    deterministic valuation: a shared view answers each question below
+    its cap as a fresh one would, and stores nothing for a call that
     raises."""
     level = v.universe.level_of[atom_id]
     if views is None:
@@ -142,62 +147,59 @@ def truth(v: Valuation, atom_id: str, members: State,
     view = views.get(level)
     if view is None:
         view = views[level] = StateView(v.universe, members, level_cap=level)
-    return bool(v.fn(atom_id, view))
+    verdict = view.verdicts[atom_id] = bool(v.fn(atom_id, view))
+    return verdict
 
 
 class TruthMemo:
-    """Truth verdicts kept along a walk over states, for one valuation.
+    """Masked views kept along a walk over states, for one valuation.
 
     By the level mask, an atom's truth depends only on the state below its
-    level, so a move from state X to X' keeps the verdicts of the atoms at
-    levels <= the lowest level in X ^ X' and drops the rest (all of them
-    when X ^ X' holds an id outside the universe): exact for any sequence
-    of states and any valuation that reads the state only through its
-    view.  `at` moves the memo and gives out its table; `realize` and
-    `is_sound` read their verdicts from it and add the ones it lacks, each
-    as `truth` returns it, so an evaluation that raises stores nothing."""
+    level, so a move from state X to X' keeps the views at levels <= the
+    lowest level in X ^ X' and drops the rest (all of them when X ^ X'
+    holds an id outside the universe): a kept view answers for X' by its
+    mask, and its verdicts stay exact for any sequence of states and any
+    valuation that reads the state only through its view.  `at` moves the
+    memo and gives out its views; `realize` and `is_sound` read verdicts
+    from them and call `truth` on a miss."""
 
     def __init__(self, universe: AtomUniverse):
         self.universe = universe
         self._members: State = frozenset()
-        self._by_level: dict[int, dict[str, bool]] = {}
+        self._views: dict[int, StateView] = {}
 
-    def at(self, members: State) -> dict[int, dict[str, bool]]:
-        """The verdicts held for `members`, level -> {atom id: verdict},
-        after moving the memo there.  The caller may add verdicts of this
-        state to the table until the memo moves again."""
+    def at(self, members: State) -> dict[int, StateView]:
+        """The views held for `members`, level -> masked view, after moving
+        the memo there.  The caller may pass the dict to `truth` for this
+        state until the memo moves again."""
         if members is not self._members and members != self._members:
             try:
                 low = min(map(self.universe.level_of.__getitem__,
                               members ^ self._members))
             except UnknownAtom:  # an id outside the universe: keep none
                 low = -1
-            self._by_level = {level: known for level, known
-                              in self._by_level.items() if level <= low}
+            self._views = {level: view for level, view
+                           in self._views.items() if level <= low}
             self._members = members
-        return self._by_level
+        return self._views
 
 
 def is_sound(v: Valuation, members: State,
              memo: Optional[TruthMemo] = None) -> bool:
-    """True iff every member of the state is true in it.  Members of one
-    level share one masked view (see `truth`); with a `memo`, each verdict
-    is read from its table for the state, or evaluated and added to it."""
-    views: dict[int, StateView] = {}
-    if memo is None:
-        return all(truth(v, a, members, views) for a in members)
+    """True iff every member of the state is true in it.  Each verdict is
+    read from the masked view of its level, or evaluated by `truth`, which
+    adds it there; the views are a dict of this call's own, or with a
+    `memo` the ones it holds for the state (an empty state leaves the memo
+    where it was)."""
     if not members:
         return True
-    by_level = memo.at(members)
-    level_of = memo.universe.level_of
+    views = {} if memo is None else memo.at(members)
+    level_of = v.universe.level_of
     for atom_id in members:
-        level = level_of[atom_id]
-        known = by_level.get(level)
-        if known is None:
-            known = by_level[level] = {}
-        verdict = known.get(atom_id)
+        held = views.get(level_of[atom_id])
+        verdict = None if held is None else held.verdicts.get(atom_id)
         if verdict is None:
-            verdict = known[atom_id] = truth(v, atom_id, members, views)
+            verdict = truth(v, atom_id, members, views)
         if not verdict:
             return False
     return True
@@ -224,33 +226,26 @@ def realize(r: Realizer, v: Valuation, members: State,
 
     The "question already answered" clause is asked of the view the
     realizer was given, so a question the realizer's own rules asked about
-    is answered once.  The truth clause is asked through one masked view
-    per level of the proposals (see `truth`); with a `memo`, each verdict
-    is read from its table for the state, or evaluated and added to it."""
+    is answered once.  The truth clause reads its verdicts as `is_sound`
+    does; a `memo`'s views are taken at the first verdict, so a call that
+    reads none leaves the memo where it was."""
     universe = r.universe
     question_of = universe.question_of
     level_of = universe.level_of
     view = StateView(universe, members)
-    views: dict[int, StateView] = {}
-    by_level = None  # the memo's table, taken at the first verdict
+    views = None  # taken at the first verdict
     kept, dropped = [], []
     # key=str: an id of another type sorts and then fails its lookup
     for atom_id in sorted(r.propose(view), key=str):
         if view.answered(question_of[atom_id]):
             dropped.append((atom_id, CLAUSE_ANSWERED))
             continue
-        if memo is None:
+        if views is None:
+            views = {} if memo is None else memo.at(members)
+        held = views.get(level_of[atom_id])
+        verdict = None if held is None else held.verdicts.get(atom_id)
+        if verdict is None:
             verdict = truth(v, atom_id, members, views)
-        else:
-            if by_level is None:
-                by_level = memo.at(members)
-            level = level_of[atom_id]
-            known = by_level.get(level)
-            if known is None:
-                known = by_level[level] = {}
-            verdict = known.get(atom_id)
-            if verdict is None:
-                verdict = known[atom_id] = truth(v, atom_id, members, views)
         if verdict:
             kept.append(atom_id)
         else:

@@ -136,3 +136,39 @@ def test_propose_matches_reference(exprs, states):
         # the realizer keeps its verdicts from the last state realized
         assert realizer.propose(StateView(_UNIVERSE, state)) == expected, sorted(
             state, key=str)
+
+
+def _partition(expr):
+    """`compile_rule`'s partition by its definition: the parts of a
+    top-level "and", or the condition itself, that are well-formed
+    `answered`/`present` leaves or the negation of one, as
+    {(key, negated): ids}, and the other parts in document order."""
+    parts = [expr]
+    if isinstance(expr, dict) and list(expr) == ["and"] and isinstance(expr["and"], list):
+        parts = expr["and"]
+    sets = {(key, negated): set() for key in ("answered", "present")
+            for negated in (False, True)}
+    rest = []
+    for part in parts:
+        leaf, negated = part, False
+        if isinstance(part, dict) and list(part) == ["not"] and isinstance(part["not"], dict):
+            leaf, negated = part["not"], True
+        if isinstance(leaf, dict) and len(leaf) == 1:
+            ((key, ref),) = leaf.items()
+            if key in ("answered", "present") and isinstance(ref, str):
+                sets[key, negated].add(ref)
+                continue
+        rest.append(part)
+    return sets, rest
+
+
+@settings(max_examples=400, deadline=None)
+@given(_any_condition(known_only=True)
+       .filter(lambda expr: not isinstance(_compiled(compile_expr, expr)[0], str)))
+def test_partition_is_the_top_level_leaves_and_the_other_parts_in_order(expr):
+    answered, open_, present, absent, rest = compile_rule(expr, set(), set())
+    sets, parts = _partition(expr)
+    assert answered == sets["answered", False] and open_ == sets["answered", True]
+    assert present == sets["present", False] and absent == sets["present", True]
+    depth = 1 if parts == [expr] else 2
+    assert rest == [compile_expr(part, set(), set(), depth) for part in parts]

@@ -5,7 +5,9 @@ unchanged.  The first property test walks it over arbitrary sequences of
 states, jumps back to earlier states included, reading verdicts through
 `TruthMemo.at`, `is_sound` and `realize`: each verdict equals a fresh
 `truth`, the valuation runs exactly when no verdict is held under that
-rule, and an evaluation that raises stores nothing.  The second compares
+rule, and an evaluation that raises stores nothing.  The second checks
+that each view the memo carries to a state answers as a fresh view of
+that state masked at the view's level.  The third compares
 `realize` and `is_sound` with and without a memo, on forged proposals and
 on states that hold ids outside the universe: both give the same result
 or exception, and a call that reads no verdict leaves the memo where it
@@ -26,7 +28,16 @@ from kspace import cli, oracle
 from kspace.engine import STRATEGY_NAMES, is_prefixed
 from kspace.instances import builtin_argmin, gen_random, load_instance
 from kspace.core import query
-from kspace.oracle import Realizer, TruthMemo, Valuation, is_sound, realize, truth
+from kspace.oracle import (
+    MaskViolation,
+    Realizer,
+    StateView,
+    TruthMemo,
+    Valuation,
+    is_sound,
+    realize,
+    truth,
+)
 
 from test_acceptance import _fuzz_params
 from test_oracle_views import _mask_probe
@@ -153,15 +164,13 @@ def test_memo_keeps_a_verdict_while_the_state_below_its_level_is_unchanged(walk)
                     held.add(atom_id)
         before = len(calls)
         if entry == "at":
-            # a reader of the table, as realize and is_sound are
-            table, views = memo.at(state), {}
+            # a reader of the views, as realize and is_sound are
+            views = memo.at(state)
             for atom_id, fresh in verdicts:
-                known = table.setdefault(level_of[atom_id], {})
-                got = known.get(atom_id)
+                view = views.get(level_of[atom_id])
+                got = None if view is None else view.verdicts.get(atom_id)
                 if got is None:
                     got = _outcome(truth, counted, atom_id, state, views)
-                    if not isinstance(got, type):
-                        known[atom_id] = got
                 assert got == fresh, (sorted(state), atom_id)
         elif entry == "is_sound":
             got = _outcome(is_sound, counted, state, memo)
@@ -171,12 +180,45 @@ def test_memo_keeps_a_verdict_while_the_state_below_its_level_is_unchanged(walk)
             assert got == _outcome(realize, _forged(universe, frozenset(asked)), v, state)
         assert calls[before:] == expected, sorted(state)
         if previous is state:
-            table = memo.at(state)
-            assert {a for known in table.values() for a in known} == held, sorted(state)
-            for level, known in table.items():
-                for atom_id, verdict in known.items():
+            views = memo.at(state)
+            assert {a for view in views.values() for a in view.verdicts} == held, sorted(state)
+            for level, view in views.items():
+                for atom_id, verdict in view.verdicts.items():
                     assert level_of[atom_id] == level
                     assert verdict is truth(v, atom_id, state), (sorted(state), atom_id)
+
+
+@settings(max_examples=400, deadline=None)
+@given(walks())
+def test_carried_views_answer_as_fresh_views_of_the_new_state(walk):
+    # a view the memo keeps was built on an earlier state: by the mask it
+    # must answer for the new one below its level and for no id above
+    v, steps = walk
+    universe = v.universe
+    ids = [atom_id for atom_id, _, _ in universe.atoms()]
+    memo = TruthMemo(universe)
+    for state, entry, asked in steps:
+        if entry == "at":
+            views = memo.at(state)
+            for atom_id in asked:
+                _outcome(truth, v, atom_id, state, views)
+        elif entry == "is_sound":
+            _outcome(is_sound, v, state, memo)
+        else:
+            _outcome(realize, _forged(universe, frozenset(asked)), v, state, memo)
+        for level, view in memo.at(state).items():
+            fresh = StateView(universe, state, level_cap=level)
+            for atom_id in ids:
+                question = universe.question_of[atom_id]
+                if universe.level_of[atom_id] < level:
+                    assert view.present(atom_id) == fresh.present(atom_id)
+                    assert view.answered(question) == fresh.answered(question)
+                    assert view.query(question) == fresh.query(question)
+                else:
+                    with pytest.raises(MaskViolation):
+                        view.present(atom_id)
+                    with pytest.raises(MaskViolation):
+                        view.answered(question)
 
 
 # ---------------------------------------------------------------------------
@@ -239,22 +281,22 @@ def test_memo_and_memo_free_calls_agree(walk):
         call = (functools.partial(is_sound, v, state) if entry == "is_sound"
                 else functools.partial(realize, _forged(universe, proposals), v, state))
         needs = _needs_verdict(universe, state, entry, proposals)
-        table = memo.at(position)  # the memo's table, without moving it
-        snapshot = {level: dict(known) for level, known in table.items()}
+        views = memo.at(position)  # the memo's views, without moving it
+        snapshot = {level: dict(view.verdicts) for level, view in views.items()}
         got = _outcome(call, memo)
         assert got == _outcome(call), (sorted(state, key=str), sorted(proposals, key=str))
         if needs:
             position = state
             # every verdict stored equals a fresh one, so none is stored
             # for an evaluation that raised
-            for level, known in memo.at(state).items():
-                for atom_id, verdict in known.items():
+            for level, view in memo.at(state).items():
+                for atom_id, verdict in view.verdicts.items():
                     assert universe.level_of[atom_id] == level
                     assert _outcome(truth, v, atom_id, state) is verdict, atom_id
         else:
             # the memo is where it was, with the verdicts it held
-            assert memo.at(position) is table
-            assert {level: dict(known) for level, known in table.items()} == snapshot
+            assert memo.at(position) is views
+            assert {level: dict(view.verdicts) for level, view in views.items()} == snapshot
 
 
 # ---------------------------------------------------------------------------
